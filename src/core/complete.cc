@@ -439,14 +439,10 @@ SmtCore::spawnMtHandler(const InstPtr &inst, ExcKind kind)
     parked.push_back(inst);
 
     if (params.except.instantHandlerFetch) {
-        // Limit study: the handler appears decoded in the window the
-        // cycle the miss is detected.
-        prefillQuickStart(h);
-        while (!h.fetchBuf.empty()) {
-            InstPtr head = h.fetchBuf.front();
-            h.fetchBuf.pop_front();
-            dispatchInst(h, head);
-        }
+        // Limit study: the handler appears fetched and decoded the
+        // cycle the miss is detected. It enters the window through
+        // ordinary dispatch, so window capacity still applies.
+        prefillQuickStart(h, 0);
         return;
     }
 
@@ -460,7 +456,7 @@ SmtCore::spawnMtHandler(const InstPtr &inst, ExcKind kind)
         if (curCycle >= h.warmReadyAt && right_type) {
             ++qsWarmStarts;
             obsEmitTid(obs::EventKind::QsWarm, h.id);
-            prefillQuickStart(h);
+            prefillQuickStart(h, curCycle);
         } else {
             ++qsColdStarts; // falls back to normal handler fetch
             obsEmitTid(obs::EventKind::QsCold, h.id);

@@ -168,8 +168,6 @@ SmtCore::~SmtCore()
         inst->dependents.clear();
         inst->prevWriter.reset();
     };
-    for (const InstPtr &inst : window)
-        unlink(inst);
     for (const InstPtr &inst : parked)
         unlink(inst);
     for (const auto &event : completionQueue)
@@ -181,7 +179,6 @@ SmtCore::~SmtCore()
             unlink(inst);
     }
 
-    window.clear();
     parked.clear();
     readyList.clear();
     completionQueue.clear();
@@ -298,6 +295,16 @@ SmtCore::injectHandlerSquash()
     }
 }
 
+unsigned
+SmtCore::countWindowSlots() const
+{
+    unsigned count = 0;
+    for (const auto &ctx : contexts)
+        for (const InstPtr &inst : ctx->inflight)
+            count += inst->inWindowLike() && !inst->freeWindowSlot;
+    return count;
+}
+
 void
 SmtCore::tick()
 {
@@ -323,9 +330,7 @@ SmtCore::tick()
     windowOccupancy.sample(double(windowCount));
 
     if ((curCycle & 1023) == 0) {
-        unsigned actual = 0;
-        for (const InstPtr &inst : window)
-            actual += inst->freeWindowSlot ? 0 : 1;
+        unsigned actual = countWindowSlots();
         panic_if(actual != windowCount,
                  "window occupancy audit: counted %u tracked %u",
                  actual, windowCount);
@@ -619,18 +624,8 @@ void
 SmtCore::dumpState(std::ostream &os) const
 {
     os << "=== core state @ cycle " << curCycle << " ===\n";
-    os << "window: " << window.size() << " entries, occupancy "
-       << windowCount << "/" << params.core.windowSize << "\n";
-    size_t shown = 0;
-    for (const InstPtr &inst : window) {
-        if (shown++ >= 8)
-            break;
-        os << "  w seq=" << inst->seq << " t" << inst->tid << " pc=0x"
-           << std::hex << inst->pc << std::dec << " "
-           << isa::disassemble(inst->di) << " st="
-           << int(inst->status) << " deps=" << inst->depsPending
-           << (inst->palMode ? " PAL" : "") << "\n";
-    }
+    os << "window occupancy " << windowCount << "/"
+       << params.core.windowSize << "\n";
     for (const auto &ctx : contexts) {
         os << "ctx " << ctx->id << " state=" << int(ctx->cstate)
            << " fetchPc=0x" << std::hex << ctx->fetchPc << std::dec
@@ -638,14 +633,18 @@ SmtCore::dumpState(std::ostream &os) const
            << " en=" << ctx->fetchEnabled << " rfe=" << ctx->stalledRfe
            << " dead=" << ctx->deadEnd << " icount=" << ctx->icount
            << " fbuf=" << ctx->fetchBuf.size()
-           << " inflight=" << ctx->inflight.size();
-        if (!ctx->inflight.empty()) {
-            const InstPtr &head = ctx->inflight.front();
-            os << " head{seq=" << head->seq << " st="
-               << int(head->status) << " "
-               << isa::disassemble(head->di) << "}";
+           << " inflight=" << ctx->inflight.size() << "\n";
+        // The thread's oldest window entries.
+        size_t shown = 0;
+        for (const InstPtr &inst : ctx->inflight) {
+            if (!inst->inWindowLike() || shown++ >= 8)
+                break;
+            os << "  w seq=" << inst->seq << " pc=0x" << std::hex
+               << inst->pc << std::dec << " "
+               << isa::disassemble(inst->di) << " st="
+               << int(inst->status) << " deps=" << inst->depsPending
+               << (inst->palMode ? " PAL" : "") << "\n";
         }
-        os << "\n";
     }
     os << "records: " << records.size();
     for (const auto &r : records) {

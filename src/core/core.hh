@@ -304,9 +304,16 @@ class SmtCore : public stats::StatGroup
     unsigned fetchFromThread(ThreadCtx &ctx, unsigned budget);
     InstPtr createFetchedInst(ThreadCtx &ctx, Addr pc, isa::InstWord word,
                               Cycle fetch_done);
-    isa::InstWord readInstWord(const ThreadCtx &ctx, Addr pc) const;
-    Addr instFetchPa(const ThreadCtx &ctx, Addr pc) const;
-    void prefillQuickStart(ThreadCtx &ctx);
+    /** Physical address (fakePa() if unmapped) and word at @p pc. */
+    struct FetchWord
+    {
+        Addr pa;
+        isa::InstWord word;
+    };
+    FetchWord fetchWordAt(const ThreadCtx &ctx, Addr pc) const;
+    /** Fill the handler's fetch buffer as if fetched at @p fetch_done
+     *  (0: already decoded). */
+    void prefillQuickStart(ThreadCtx &ctx, Cycle fetch_done);
 
     // --- Dispatch helpers -----------------------------------------------------
     /** Window capacity this cycle (the injector may squeeze it). */
@@ -315,7 +322,6 @@ class SmtCore : public stats::StatGroup
     void dispatchInst(ThreadCtx &ctx, const InstPtr &inst);
     void functionalExecute(ThreadCtx &ctx, const InstPtr &inst);
     void linkDependencies(ThreadCtx &ctx, const InstPtr &inst);
-    void insertIntoWindow(const InstPtr &inst);
     void handlerWindowDeadlock(ThreadCtx &handler_ctx);
     unsigned reservedAgainst(ThreadID master) const;
 
@@ -378,7 +384,7 @@ class SmtCore : public stats::StatGroup
      */
     void squashFrom(ThreadCtx &ctx, SeqNum first_squashed);
     void undoInst(ThreadCtx &ctx, DynInst &inst);
-    void removeFromWindow(DynInst &inst);
+    void removeFromWindow(const DynInst &inst);
 
     // --- Retire ----------------------------------------------------------------------
     bool retireBlocked(ThreadCtx &ctx, const InstPtr &head);
@@ -451,9 +457,10 @@ class SmtCore : public stats::StatGroup
     std::vector<ExcRecord> records;
     std::vector<InstPtr> parked; //!< instructions waiting on a TLB fill
 
-    /** Instruction window, sorted by sequence number. */
-    std::vector<InstPtr> window;
-    unsigned windowCount = 0; //!< occupancy (honors freeHandlerWindow)
+    /** Window occupancy. The window is the inWindowLike() prefix of
+     *  each context's in-flight list; freeWindowSlot entries hold no slot. */
+    unsigned windowCount = 0;
+    unsigned countWindowSlots() const; //!< recount, for audits
 
     /**
      * Dispatched-but-unissued instructions (status InWindow or

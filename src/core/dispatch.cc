@@ -9,7 +9,6 @@
  * deadlock-avoidance squash (paper Section 4.4).
  */
 
-#include <algorithm>
 #include <cstdio>
 
 #include "core/core.hh"
@@ -339,18 +338,6 @@ SmtCore::windowHasRoomFor(const ThreadCtx &ctx, const DynInst &inst) const
 }
 
 void
-SmtCore::insertIntoWindow(const InstPtr &inst)
-{
-    auto pos = std::upper_bound(window.begin(), window.end(), inst->seq,
-                                [](SeqNum seq, const InstPtr &other) {
-                                    return seq < other->seq;
-                                });
-    window.insert(pos, inst);
-    if (!inst->freeWindowSlot)
-        ++windowCount;
-}
-
-void
 SmtCore::dispatchInst(ThreadCtx &ctx, const InstPtr &inst)
 {
     inst->freeWindowSlot =
@@ -374,7 +361,8 @@ SmtCore::dispatchInst(ThreadCtx &ctx, const InstPtr &inst)
 
     inst->windowAt = curCycle;
     inst->status = InstStatus::InWindow;
-    insertIntoWindow(inst);
+    if (!inst->freeWindowSlot)
+        ++windowCount;
     insertIntoReadyList(inst);
     obsEmit(obs::EventKind::Dispatched, *inst);
 

@@ -15,22 +15,18 @@
 namespace zmt
 {
 
-isa::InstWord
-SmtCore::readInstWord(const ThreadCtx &ctx, Addr pc) const
+SmtCore::FetchWord
+SmtCore::fetchWordAt(const ThreadCtx &ctx, Addr pc) const
 {
+    // PAL code lives at physical addresses; a user PC is translated
+    // once for both the icache and the word. An unmapped (wild
+    // wrong-path) PC still touches the icache and reads as word 0.
     if (ctx.fetchPal)
-        return physMem.read32(pc);
+        return {pc, physMem.read32(pc)};
     panic_if(!ctx.proc, "user fetch on an unbound context");
-    return ctx.proc->fetchWord(pc, physMem);
-}
-
-Addr
-SmtCore::instFetchPa(const ThreadCtx &ctx, Addr pc) const
-{
-    if (ctx.fetchPal)
-        return pc;
-    auto pa = ctx.proc->space().translate(pc);
-    return pa ? *pa : fakePa(ctx.proc->asn(), pc);
+    if (auto pa = ctx.proc->space().translate(pc))
+        return {*pa, physMem.read32(*pa)};
+    return {fakePa(ctx.proc->asn(), pc), 0};
 }
 
 const std::vector<SmtCore::ThreadCtx *> &
@@ -133,17 +129,16 @@ SmtCore::fetchFromThread(ThreadCtx &ctx, unsigned budget)
     unsigned fetched = 0;
     while (budget > 0 && canFetch(ctx)) {
         Addr pc = ctx.fetchPc;
-        Addr pa = instFetchPa(ctx, pc);
+        FetchWord fw = fetchWordAt(ctx, pc);
 
         // Instruction-cache timing: a miss delays this and subsequent
         // instructions of the group; fetch of this thread stops for
         // the cycle.
-        Cycle icache_ready = hier->instAccess(pa, curCycle);
+        Cycle icache_ready = hier->instAccess(fw.pa, curCycle);
         Cycle fetch_done =
             std::max(icache_ready, curCycle) + params.core.fetchDepth;
 
-        isa::InstWord word = readInstWord(ctx, pc);
-        InstPtr inst = createFetchedInst(ctx, pc, word, fetch_done);
+        InstPtr inst = createFetchedInst(ctx, pc, fw.word, fetch_done);
         if (obsLog) [[unlikely]] {
             obsEmit(obs::EventKind::Fetched, *inst);
             if (obsLog->wantLabels())
@@ -201,7 +196,7 @@ SmtCore::doFetch()
 }
 
 void
-SmtCore::prefillQuickStart(ThreadCtx &ctx)
+SmtCore::prefillQuickStart(ThreadCtx &ctx, Cycle fetch_done)
 {
     // The handler was prefetched into this idle thread's fetch buffer
     // before the exception occurred (paper Section 5.4): instructions
@@ -210,8 +205,8 @@ SmtCore::prefillQuickStart(ThreadCtx &ctx)
     unsigned count = 0;
     while (count < ctx.handlerLen) {
         Addr pc = ctx.fetchPc;
-        isa::InstWord word = readInstWord(ctx, pc);
-        InstPtr inst = createFetchedInst(ctx, pc, word, curCycle);
+        InstPtr inst =
+            createFetchedInst(ctx, pc, fetchWordAt(ctx, pc).word, fetch_done);
         if (obsLog) [[unlikely]] {
             obsEmit(obs::EventKind::Fetched, *inst, 0, obs::EvPrefill);
             if (obsLog->wantLabels())

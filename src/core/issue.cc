@@ -183,16 +183,13 @@ SmtCore::doIssue()
     // the window filtered to status InWindow/TlbWait and sorted by seq
     // (oldest-fetched first, the paper's selection policy); entries
     // that issued or squashed since the last scan are compacted out in
-    // the same pass. The scan is bounded to the size on entry: a
-    // mid-scan dispatch (instant handler fetch during a traditional
-    // trap) appends a younger instruction the old whole-window
-    // snapshot would not have visited either.
+    // the same pass. Nothing dispatches during issue, so the list
+    // does not grow under the scan.
     const size_t n0 = readyList.size();
     size_t keep = 0;
     bool exhausted = false;
     for (size_t i = 0; i < n0; ++i) {
-        // By value: the issue paths below can grow readyList and
-        // invalidate references into it.
+        // By value: it moves back into its compacted slot below.
         InstPtr inst = readyList[i];
 
         if (inst->status != InstStatus::InWindow) {
@@ -240,9 +237,7 @@ SmtCore::doIssue()
         if (inst->status == InstStatus::TlbWait)
             readyList[keep++] = std::move(inst);
     }
-    // Preserve anything dispatched mid-scan (appended past n0).
-    for (size_t i = n0; i < readyList.size(); ++i)
-        readyList[keep++] = std::move(readyList[i]);
+    panic_if(readyList.size() != n0, "readyList grew during issue");
     readyList.resize(keep);
 
     issuedPerCycle.sample(double(issued));

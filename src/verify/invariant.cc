@@ -1,5 +1,6 @@
 #include "verify/invariant.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/core.hh"
@@ -39,37 +40,62 @@ InvariantChecker::audit()
 void
 InvariantChecker::auditWindow()
 {
-    std::ostringstream os;
-    SeqNum prev = 0;
-    unsigned occupied = 0;
-    for (const InstPtr &inst : core.window) {
-        if (inst->seq <= prev) {
-            os << "window not sorted at seq " << inst->seq << " (cycle "
-               << core.curCycle << ")";
+    // The window is each context's in-flight list up to its first
+    // undispatched entry: dispatch is in order, so the list is a
+    // dispatched prefix followed by exactly the fetch buffer.
+    for (size_t i = 0; i < core.contexts.size(); ++i) {
+        const auto &ctx = *core.contexts[i];
+        std::ostringstream os;
+        os << "ctx " << i << " (cycle " << core.curCycle << "): ";
+        SeqNum prev = 0;
+        size_t dispatched = 0;
+        for (const InstPtr &inst : ctx.inflight) {
+            if (inst->seq <= prev) {
+                os << "in-flight list not in program order at seq "
+                   << inst->seq;
+                fail(os.str());
+                return;
+            }
+            prev = inst->seq;
+            if (inst->status == InstStatus::Retired || inst->squashed()) {
+                os << "in-flight list holds seq " << inst->seq
+                   << " in status " << int(inst->status);
+                fail(os.str());
+                return;
+            }
+            if (inst->inWindowLike() &&
+                &inst != &ctx.inflight[dispatched++]) {
+                os << "dispatched seq " << inst->seq
+                   << " follows an undispatched instruction";
+                fail(os.str());
+                return;
+            }
+        }
+        size_t fetched = ctx.inflight.size() - dispatched;
+        if (fetched != ctx.fetchBuf.size() ||
+            !std::equal(ctx.fetchBuf.begin(), ctx.fetchBuf.end(),
+                        ctx.inflight.begin() + dispatched)) {
+            os << "undispatched in-flight suffix (" << fetched
+               << ") is not the fetch buffer (" << ctx.fetchBuf.size()
+               << ")";
             fail(os.str());
             return;
         }
-        prev = inst->seq;
-        if (!inst->inWindowLike()) {
-            os << "window holds seq " << inst->seq << " in status "
-               << int(inst->status) << " (cycle " << core.curCycle << ")";
-            fail(os.str());
-            return;
-        }
-        if (!inst->freeWindowSlot)
-            ++occupied;
     }
+
+    unsigned occupied = core.countWindowSlots();
     if (occupied != core.windowCount) {
+        std::ostringstream os;
         os << "window accounting: counted " << occupied << " tracked "
            << core.windowCount << " (cycle " << core.curCycle << ")";
         fail(os.str());
     }
     if (core.windowCount > core.params.core.windowSize) {
-        std::ostringstream o2;
-        o2 << "window occupancy " << core.windowCount << " exceeds size "
+        std::ostringstream os;
+        os << "window occupancy " << core.windowCount << " exceeds size "
            << core.params.core.windowSize << " (cycle " << core.curCycle
            << ")";
-        fail(o2.str());
+        fail(os.str());
     }
 }
 
@@ -87,24 +113,6 @@ InvariantChecker::auditContexts()
                << ctx.inflight.size();
             fail(os.str());
             continue;
-        }
-        SeqNum prev = 0;
-        for (const InstPtr &inst : ctx.inflight) {
-            if (inst->seq <= prev) {
-                os << "in-flight list not in program order at seq "
-                   << inst->seq;
-                fail(os.str());
-                break;
-            }
-            prev = inst->seq;
-        }
-        for (const InstPtr &inst : ctx.fetchBuf) {
-            if (inst->status != InstStatus::InFetchBuf) {
-                os << "fetch buffer holds seq " << inst->seq
-                   << " in status " << int(inst->status);
-                fail(os.str());
-                break;
-            }
         }
 
         CtxState s = ctx.cstate;

@@ -5,10 +5,12 @@
  * timing bug fails loudly at the cycle it happens instead of
  * corrupting architectural state silently. Checked invariants:
  *
- *  - the instruction window is sorted, holds only live instructions,
- *    and its occupancy counter matches its contents
- *  - per-context accounting (icount vs. in-flight list, in-flight
- *    order, idle contexts are empty)
+ *  - per context, the in-flight list is in program order, holds only
+ *    live instructions, and is a dispatched (window) prefix followed
+ *    by exactly the fetch buffer; the window occupancy counter matches
+ *    the slot-holding prefix entries of all contexts
+ *  - per-context accounting (icount vs. in-flight list, idle contexts
+ *    are empty)
  *  - context state machine takes only legal transitions
  *    (app stays app; idle <-> handler)
  *  - every exception record points at a live excepting instruction and

@@ -352,8 +352,13 @@ TEST(Core, LimitStudiesRunAndStayCorrect)
           "except.freeHandlerFetchBw", "except.instantHandlerFetch"}) {
         SimParams params = smallParams(ExceptMech::Multithreaded, 25000);
         params.set(toggle, "1");
+        // Audit every cycle: freeHandlerWindow is the only path that
+        // dispatches instructions holding no window slot, and the
+        // instant-fetch handler must still fit the window.
+        params.verify.invariantPeriod = 1;
         Simulator sim(params, std::vector<std::string>{"compress"});
-        sim.run();
+        CoreResult result = sim.run();
+        EXPECT_TRUE(result.ok()) << toggle << ": " << result.error;
 
         uint64_t retired = sim.core().retiredUserInsts(0);
         ArchResult golden = goldenRun(benchmarkParams("compress"),

@@ -59,15 +59,24 @@ goldenParams(ExceptMech mech, bool idleSkip = true)
 }
 
 std::string
-statDump(ExceptMech mech, bool idleSkip = true)
+statDump(ExceptMech mech, bool idleSkip = true,
+         const std::vector<std::string> &apps = {"compress"})
 {
-    Simulator sim(goldenParams(mech, idleSkip),
-                  std::vector<std::string>{"compress"});
+    Simulator sim(goldenParams(mech, idleSkip), apps);
     CoreResult result = sim.run();
     EXPECT_TRUE(result.ok()) << mechName(mech) << ": " << result.error;
     std::ostringstream os;
     sim.dumpStats(os);
     return os.str();
+}
+
+std::string
+hexChecksum(uint64_t checksum)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  (unsigned long long)checksum);
+    return buf;
 }
 
 // ---------------------------------------------------------------------
@@ -99,12 +108,9 @@ TEST_P(GoldenRunTest, StatDumpChecksumMatches)
     std::string dump = statDump(point.mech);
     ASSERT_GT(dump.size(), 1000u); // a real, full dump — not a stub
     uint64_t actual = fnv1a(dump);
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  (unsigned long long)actual);
     EXPECT_EQ(actual, point.checksum)
         << mechName(point.mech) << " stat dump changed; if intended, "
-        << "update goldenTable to {..., " << buf << "ULL}";
+        << "update goldenTable to {..., " << hexChecksum(actual) << "ULL}";
 }
 
 TEST_P(GoldenRunTest, RepeatedRunsAreDeterministic)
@@ -118,6 +124,26 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GoldenPoint> &info) {
         return std::string(mechName(info.param.mech));
     });
+
+// ---------------------------------------------------------------------
+// Three applications share the window with one idle handler context:
+// per-thread window accounting, cross-thread squashes and the handler
+// reservation all show up in this dump, which the single-app points
+// above cannot see.
+// ---------------------------------------------------------------------
+
+constexpr uint64_t goldenMixChecksum = 0x33e14e8e4c8ff50bULL;
+
+TEST(GoldenMix, ThreeAppMultithreadedChecksumMatches)
+{
+    std::string dump = statDump(ExceptMech::Multithreaded, true,
+                                {"alphadoom", "compress", "vortex"});
+    ASSERT_GT(dump.size(), 1000u);
+    uint64_t actual = fnv1a(dump);
+    EXPECT_EQ(actual, goldenMixChecksum)
+        << "three-app stat dump changed; if intended, update "
+        << "goldenMixChecksum to " << hexChecksum(actual) << "ULL";
+}
 
 // ---------------------------------------------------------------------
 // Idle-skip is architecturally invisible: the *entire* stat dump —

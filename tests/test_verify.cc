@@ -176,19 +176,26 @@ TEST(InvariantChecker, CatchesSeededSpliceOrderingBug)
 
 TEST(InvariantChecker, CleanRunsHaveNoViolations)
 {
-    for (ExceptMech mech :
-         {ExceptMech::Traditional, ExceptMech::Multithreaded,
-          ExceptMech::QuickStart, ExceptMech::Hardware}) {
-        SimParams params = mtParams(20000);
-        params.except.mech = mech;
+    // One app, and three apps sharing the window with the handler.
+    const std::vector<std::vector<std::string>> inputs = {
+        {"gcc"}, {"alphadoom", "compress", "vortex"}};
+    for (const auto &apps : inputs) {
+        for (ExceptMech mech :
+             {ExceptMech::Traditional, ExceptMech::Multithreaded,
+              ExceptMech::QuickStart, ExceptMech::Hardware}) {
+            SimParams params = mtParams(20000);
+            params.except.mech = mech;
 
-        Simulator sim(params, std::vector<std::string>{"gcc"});
-        CoreResult result = sim.run();
-        EXPECT_TRUE(result.ok()) << mechName(mech) << ": " << result.error;
-        ASSERT_NE(sim.core().invariants(), nullptr);
-        EXPECT_EQ(sim.core().invariants()->violationCount(), 0u)
-            << mechName(mech) << ": "
-            << sim.core().invariants()->firstViolation();
+            Simulator sim(params, apps);
+            CoreResult result = sim.run();
+            std::string label =
+                std::string(mechName(mech)) + "/" + apps.front();
+            EXPECT_TRUE(result.ok()) << label << ": " << result.error;
+            ASSERT_NE(sim.core().invariants(), nullptr);
+            EXPECT_EQ(sim.core().invariants()->violationCount(), 0u)
+                << label << ": "
+                << sim.core().invariants()->firstViolation();
+        }
     }
 }
 
