@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 
 #include "common/random.hh"
 #include "kernel/funcmachine.hh"
@@ -229,13 +231,27 @@ TEST(Emulator, AddSubChain)
     EXPECT_EQ(result.instsExecuted, 5u);
 }
 
-/** Parameterized integer-ALU semantics vs native reference. */
+/**
+ * Parameterized integer-ALU semantics vs native reference.
+ *
+ * GoogleTest names each case by a hex dump of the whole struct, so the
+ * seven bytes between op and a are spelled out instead of left as
+ * padding: otherwise they hold whatever was on the stack and the case
+ * names change from one build to the next. The fixed bytes are the ones
+ * the suite's case names have always carried.
+ */
 struct AluCase
 {
     Opcode op;
+    std::array<uint8_t, 7> nameTag;
     uint64_t a, b;
     uint64_t expected;
 };
+static_assert(sizeof(AluCase) == 32 && offsetof(AluCase, a) == 8,
+              "AluCase must have no padding");
+
+constexpr std::array<uint8_t, 7> AluNameTag = {0x00, 0x01, 0x1b, 0x03,
+                                               0x3b, 0x2c, 0x00};
 
 class AluSemanticsTest : public ::testing::TestWithParam<AluCase>
 {};
@@ -266,23 +282,22 @@ aluCases()
         if (i == 0) { a = 0; b = 0; }
         if (i == 1) { a = ~0ull; b = 1; }
         if (i == 2) { a = 0x8000000000000000ull; b = 1; }
-        cases.push_back({Opcode::Add, a, b, a + b});
-        cases.push_back({Opcode::Sub, a, b, a - b});
-        cases.push_back({Opcode::And, a, b, a & b});
-        cases.push_back({Opcode::Or, a, b, a | b});
-        cases.push_back({Opcode::Xor, a, b, a ^ b});
-        cases.push_back({Opcode::Sll, a, b, a << (b & 63)});
-        cases.push_back({Opcode::Srl, a, b, a >> (b & 63)});
-        cases.push_back(
-            {Opcode::Sra, a, b, uint64_t(s64(a) >> (b & 63))});
-        cases.push_back({Opcode::Cmpeq, a, b, a == b ? 1ull : 0ull});
-        cases.push_back(
-            {Opcode::Cmplt, a, b, s64(a) < s64(b) ? 1ull : 0ull});
-        cases.push_back(
-            {Opcode::Cmple, a, b, s64(a) <= s64(b) ? 1ull : 0ull});
-        cases.push_back({Opcode::Mul, a, b, a * b});
-        cases.push_back({Opcode::Div, a, b,
-                         b ? uint64_t(s64(a) / s64(b)) : 0ull});
+        auto add = [&](Opcode op, uint64_t expected) {
+            cases.push_back({op, AluNameTag, a, b, expected});
+        };
+        add(Opcode::Add, a + b);
+        add(Opcode::Sub, a - b);
+        add(Opcode::And, a & b);
+        add(Opcode::Or, a | b);
+        add(Opcode::Xor, a ^ b);
+        add(Opcode::Sll, a << (b & 63));
+        add(Opcode::Srl, a >> (b & 63));
+        add(Opcode::Sra, uint64_t(s64(a) >> (b & 63)));
+        add(Opcode::Cmpeq, a == b ? 1ull : 0ull);
+        add(Opcode::Cmplt, s64(a) < s64(b) ? 1ull : 0ull);
+        add(Opcode::Cmple, s64(a) <= s64(b) ? 1ull : 0ull);
+        add(Opcode::Mul, a * b);
+        add(Opcode::Div, b ? uint64_t(s64(a) / s64(b)) : 0ull);
     }
     return cases;
 }
