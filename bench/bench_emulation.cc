@@ -78,26 +78,26 @@ struct Cell
 };
 
 Cell
-run(const Density &density, ExceptMech mech)
+run(const Results &results, const Density &density, ExceptMech mech)
 {
     // No perfect-TLB companion: this study compares mechanisms on raw
     // cycles, so the sweep jobs skip the baseline run.
-    const PenaltyResult &r = runCachedWorkloads(
-        densityParams(mech), {emulWorkload(density)}, true);
+    const PenaltyResult &r =
+        results.get(densityParams(mech), {emulWorkload(density)});
     return Cell{double(r.mech.measuredCycles), double(r.mech.emulations)};
 }
 
 void
-summary()
+summary(const Results &results)
 {
     Table table("Section 6 extension: software FSQRT emulation "
                 "(measured cycles; MT speedup over trap)");
     table.header({"density", "traditional", "multithreaded",
                   "quickstart", "mt speedup", "emuls"});
     for (const auto &density : densities) {
-        Cell trad = run(density, ExceptMech::Traditional);
-        Cell mt = run(density, ExceptMech::Multithreaded);
-        Cell qs = run(density, ExceptMech::QuickStart);
+        Cell trad = run(results, density, ExceptMech::Traditional);
+        Cell mt = run(results, density, ExceptMech::Multithreaded);
+        Cell qs = run(results, density, ExceptMech::QuickStart);
         table.row({density.label, fmt(trad.cycles, 0), fmt(mt.cycles, 0),
                    fmt(qs.cycles, 0),
                    fmt(mt.cycles ? trad.cycles / mt.cycles : 0, 2) + "x",
@@ -121,10 +121,9 @@ main(int argc, char **argv)
         for (ExceptMech mech : mechs) {
             std::string name = std::string("emulation/") +
                                density.label + "/" + mechName(mech);
-            registerWorkloadBench(name, densityParams(mech),
-                                  {emulWorkload(density)},
-                                  /*skipBaseline=*/true);
+            addPoint(name, densityParams(mech), {emulWorkload(density)},
+                     /*skipBaseline=*/true);
         }
     }
-    return benchMain(argc, argv, summary);
+    return benchMain(summary);
 }

@@ -28,7 +28,7 @@ depthParams(unsigned depth)
 }
 
 void
-summary()
+summary(const Results &results)
 {
     Table table("Figure 2: traditional penalty vs pipeline depth");
     table.header({"benchmark", "3 stages", "7 stages", "11 stages",
@@ -40,7 +40,7 @@ summary()
         std::vector<double> penalties;
         for (unsigned depth : depths)
             penalties.push_back(
-                runCached(depthParams(depth), {bench}).penaltyPerMiss());
+                results.get(depthParams(depth), {bench}).penaltyPerMiss());
         double slope = (penalties[2] - penalties[0]) / (11 - 3);
         avg_slope += slope;
         for (size_t i = 0; i < penalties.size(); ++i)
@@ -66,8 +66,7 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (unsigned depth : depths)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench("fig2/depth" + std::to_string(depth) +
-                                     "/" + bench,
-                                 depthParams(depth), {bench});
-    return benchMain(argc, argv, summary);
+            addPoint("fig2/depth" + std::to_string(depth) + "/" + bench,
+                     depthParams(depth), {bench});
+    return benchMain(summary);
 }

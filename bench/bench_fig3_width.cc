@@ -29,7 +29,7 @@ widthParams(unsigned width)
 }
 
 void
-summary()
+summary(const Results &results)
 {
     Table table("Figure 3: relative TLB execution percentage (traditional)");
     table.header({"benchmark", "2w/32", "4w/64", "8w/128",
@@ -41,7 +41,7 @@ summary()
         std::vector<double> fracs;
         for (unsigned width : widths)
             fracs.push_back(
-                runCached(widthParams(width), {bench}).tlbFraction() *
+                results.get(widthParams(width), {bench}).tlbFraction() *
                 100.0);
         for (size_t i = 0; i < fracs.size(); ++i)
             sums[i] += fracs[i];
@@ -70,8 +70,7 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (unsigned width : widths)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench("fig3/width" + std::to_string(width) +
-                                     "/" + bench,
-                                 widthParams(width), {bench});
-    return benchMain(argc, argv, summary);
+            addPoint("fig3/width" + std::to_string(width) + "/" + bench,
+                     widthParams(width), {bench});
+    return benchMain(summary);
 }

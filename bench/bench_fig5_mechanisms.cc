@@ -43,10 +43,10 @@ configParams(const Config &config)
     return params;
 }
 
-void attribSummary();
+void attribSummary(const Results &results);
 
 void
-summary()
+summary(const Results &results)
 {
     Table table("Figure 5: penalty cycles per TLB miss");
     std::vector<std::string> header{"benchmark"};
@@ -59,7 +59,7 @@ summary()
         std::vector<std::string> row{bench};
         for (size_t i = 0; i < std::size(configs); ++i) {
             const PenaltyResult &r =
-                runCached(configParams(configs[i]), {bench});
+                results.get(configParams(configs[i]), {bench});
             double penalty = r.penaltyPerMiss();
             sums[i] += penalty;
             row.push_back(fmt(penalty));
@@ -82,11 +82,11 @@ summary()
                 "(paper Section 5.3).\n");
 
     if (benchConfig().attrib)
-        attribSummary();
+        attribSummary(results);
 }
 
 void
-attribSummary()
+attribSummary(const Results &results)
 {
     // Where the handling cycles go, per mechanism, summed across the
     // benchmarks (cycles per completed handling).
@@ -102,7 +102,7 @@ attribSummary()
         obs::AttribSummary sum;
         for (const auto &bench : benchmarkNames()) {
             const obs::AttribSummary &a =
-                runCached(configParams(config), {bench}).mech.attrib;
+                results.get(configParams(config), {bench}).mech.attrib;
             sum.completed += a.completed;
             sum.aborted += a.aborted;
             sum.spanCycles += a.spanCycles;
@@ -127,8 +127,7 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (const auto &config : configs)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench(std::string("fig5/") + config.label +
-                                     "/" + bench,
-                                 configParams(config), {bench});
-    return benchMain(argc, argv, summary);
+            addPoint(std::string("fig5/") + config.label + "/" + bench,
+                     configParams(config), {bench});
+    return benchMain(summary);
 }

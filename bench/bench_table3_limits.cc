@@ -57,7 +57,7 @@ configParams(const Config &config)
 }
 
 void
-summary()
+summary(const Results &results)
 {
     Table table("Table 3: limit studies (average penalty per miss, "
                 "multithreaded with 3 idle threads)");
@@ -65,7 +65,7 @@ summary()
     for (const auto &config : configs) {
         double sum = 0;
         for (const auto &bench : benchmarkNames())
-            sum += runCached(configParams(config), {bench})
+            sum += results.get(configParams(config), {bench})
                        .penaltyPerMiss();
         table.row({config.label, fmt(sum / benchmarkNames().size()),
                    fmt(config.paperAvg)});
@@ -86,8 +86,7 @@ main(int argc, char **argv)
     benchParseArgs(argc, argv);
     for (const auto &config : configs)
         for (const auto &bench : benchmarkNames())
-            registerPenaltyBench(std::string("table3/") + config.label +
-                                     "/" + bench,
-                                 configParams(config), {bench});
-    return benchMain(argc, argv, summary);
+            addPoint(std::string("table3/") + config.label + "/" + bench,
+                     configParams(config), {bench});
+    return benchMain(summary);
 }

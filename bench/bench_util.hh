@@ -2,21 +2,21 @@
  * @file
  * Shared infrastructure for the per-figure/table benchmark binaries.
  *
- * Each binary's main() first calls benchParseArgs (the sweep flags:
- * --jobs N, --insts N, --warmup N, --json PATH, --no-json), then
- * registers one google-benchmark per measurement point. Registration
- * also queues a SweepJob; benchMain executes the whole job list on the
- * SweepRunner thread pool *before* google-benchmark runs, so the
- * expensive simulations happen in parallel (with perfect-TLB baselines
- * shared through the canonical-key cache) and every later lookup —
- * benchmark counters and the paper-style summary table — is a cache
- * hit. Results are byte-identical to a serial run: each cell is an
- * independent deterministic simulation and results are collected in
- * submission order.
+ * Each binary's main() calls benchParseArgs (run-length, output and
+ * campaign flags; anything else is fatal), queues one SweepJob per
+ * measurement point with addPoint, and hands its summary() to
+ * benchMain. benchMain runs the whole job list on a CampaignRunner
+ * (sim/campaign.hh) — in-process on its thread pool by default, or
+ * isolated, retried, journaled, resumed or sharded under the campaign
+ * flags — and, once every cell has a result, renders the paper-style
+ * tables from those outcomes. Tables are byte-identical for any
+ * --jobs value and any campaign mode: each cell is an independent
+ * deterministic simulation (perfect-TLB baselines shared through the
+ * canonical-key cache) and outcomes are collected in submission order.
  *
  * After the text tables, every binary writes machine-readable results
  * to results/bench_<name>.json (schema zmt-sweep-results-v1, see
- * sim/sweep.hh) for CI to archive and diff.
+ * sim/campaign.hh) for CI to archive and diff.
  *
  * Run lengths: 700k instructions with a 300k warm-up window (override
  * with --insts/--warmup for quick CI sweeps). The paper ran
@@ -28,20 +28,15 @@
 #ifndef ZMT_BENCH_BENCH_UTIL_HH
 #define ZMT_BENCH_BENCH_UTIL_HH
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/campaign.hh"
-#include "sim/sweep.hh"
 
 namespace zmtbench
 {
@@ -54,19 +49,16 @@ constexpr uint64_t BenchWarmup = 300'000;
 /** Mutable sweep configuration shared across the binary. */
 struct BenchConfig
 {
+    std::string name;            //!< binary name, e.g. "bench_fig5_mechanisms"
     unsigned jobs = 0;           //!< 0 = hardware_concurrency
     uint64_t insts = BenchInsts;
     uint64_t warmup = BenchWarmup;
-    std::string jsonPath;        //!< empty = results/<binary>.json
+    std::string jsonPath;        //!< empty = results/<name>.json
     bool emitJson = true;
     bool attrib = false;         //!< per-exception penalty attribution
 
-    /** Fault-tolerant campaign mode (--isolate/--timeout/--retries/
-     *  --shard/--journal/--resume; sim/campaign.hh). When any of these
-     *  engage, benchMain runs the job list on a CampaignRunner and
-     *  skips google-benchmark and the summary tables — their memoized
-     *  cold paths would re-run a crashing configuration in-process,
-     *  defeating the isolation. */
+    /** Fault-tolerant campaign options (--isolate/--timeout/--retries/
+     *  --backoff/--shard/--journal/--resume; sim/campaign.hh). */
     CampaignOptions campaign;
 
     /** --inject-panic SUBSTR: arm verify.panicAtCycle on every job
@@ -83,48 +75,53 @@ benchConfig()
 }
 
 /**
- * Parse and strip the sweep flags from argv before google-benchmark
- * sees them. Call first in every main(), before registering points
- * (registration snapshots --insts/--warmup via baseParams).
+ * Parse every flag. Call first in every main(), before queueing
+ * points (addPoint callers snapshot --insts/--warmup via baseParams).
+ * An argument no flag claims is fatal, so a typo never silently runs
+ * the default campaign.
  */
 inline void
-benchParseArgs(int &argc, char **argv)
+benchParseArgs(int argc, char **argv)
 {
     BenchConfig &config = benchConfig();
+    config.name = argv[0];
+    if (auto slash = config.name.rfind('/'); slash != std::string::npos)
+        config.name = config.name.substr(slash + 1);
     config.jobs = parseJobsFlag(argc, argv, config.jobs);
     parseCampaignFlags(argc, argv, config.campaign);
 
-    auto take_value = [&](int &i, const char *flag,
-                          const char *prefix) -> const char * {
-        if (std::strncmp(argv[i], prefix, std::strlen(prefix)) == 0)
-            return argv[i] + std::strlen(prefix);
-        if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc)
-            return argv[++i];
-        return nullptr;
+    auto take_value = [&](int &i, const char *flag) -> const char * {
+        const size_t n = std::strlen(flag);
+        if (std::strncmp(argv[i], flag, n) == 0 && argv[i][n] == '=')
+            return argv[i] + n + 1;
+        if (std::strcmp(argv[i], flag) != 0)
+            return nullptr;
+        fatal_if(i + 1 >= argc, "%s needs a value", flag);
+        return argv[++i];
     };
 
-    int out = 1;
     for (int i = 1; i < argc; ++i) {
-        if (const char *v = take_value(i, "--insts", "--insts=")) {
+        if (const char *v = take_value(i, "--insts")) {
             config.insts = std::strtoull(v, nullptr, 0);
-        } else if (const char *w =
-                       take_value(i, "--warmup", "--warmup=")) {
+        } else if (const char *w = take_value(i, "--warmup")) {
             config.warmup = std::strtoull(w, nullptr, 0);
-        } else if (const char *j = take_value(i, "--json", "--json=")) {
+        } else if (const char *j = take_value(i, "--json")) {
             config.jsonPath = j;
         } else if (std::strcmp(argv[i], "--no-json") == 0) {
             config.emitJson = false;
         } else if (std::strcmp(argv[i], "--attrib") == 0) {
             config.attrib = true;
-        } else if (const char *p = take_value(i, "--inject-panic",
-                                              "--inject-panic=")) {
+        } else if (const char *p = take_value(i, "--inject-panic")) {
             config.injectPanic = p;
         } else {
-            argv[out++] = argv[i];
+            fatal("unknown argument '%s' (flags: --jobs N, --insts N, "
+                  "--warmup N, --json PATH, --no-json, --attrib, "
+                  "--inject-panic SUBSTR, --isolate, --timeout S, "
+                  "--retries N, --backoff S, --shard I/N, "
+                  "--journal PATH, --resume PATH)",
+                  argv[i]);
         }
     }
-    argv[out] = nullptr;
-    argc = out;
 }
 
 /** Default parameters for all experiments (Table 1 machine). */
@@ -141,7 +138,7 @@ baseParams()
     return params;
 }
 
-/** The job list accumulated by the register* helpers. */
+/** The job list accumulated by addPoint. */
 inline std::vector<SweepJob> &
 pendingJobs()
 {
@@ -149,137 +146,84 @@ pendingJobs()
     return jobs;
 }
 
-namespace detail
+/** Queue a measurement point on named benchmarks. */
+inline void
+addPoint(const std::string &label, SimParams params,
+         std::vector<std::string> benches)
 {
-
-struct ResultCache
-{
-    std::mutex mutex;
-    std::map<std::string, PenaltyResult> map;
-};
-
-inline ResultCache &
-resultCache()
-{
-    static ResultCache cache;
-    return cache;
+    pendingJobs().emplace_back(std::move(params), std::move(benches),
+                               label);
 }
 
-inline std::string
-cacheKey(const SimParams &params,
-         const std::vector<std::string> &benches)
+/** Queue a point on explicit workloads (e.g. the Section 6 emulation
+ *  study); @p skipBaseline drops the perfect-TLB companion run. */
+inline void
+addPoint(const std::string &label, SimParams params,
+         std::vector<WorkloadParams> workloads, bool skipBaseline = false)
 {
-    std::string key = params.canonicalKey() + "|n:";
-    for (const auto &bench : benches)
-        key += bench + "+";
-    return key;
-}
-
-inline std::string
-cacheKey(const SimParams &params,
-         const std::vector<WorkloadParams> &workloads)
-{
-    std::string key = params.canonicalKey() + "|w:";
-    for (const auto &wp : workloads)
-        key += canonicalKey(wp) + "+";
-    return key;
-}
-
-inline const PenaltyResult &
-store(const std::string &key, PenaltyResult result)
-{
-    ResultCache &cache = resultCache();
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    return cache.map.emplace(key, std::move(result)).first->second;
-}
-
-template <typename Workloads>
-const PenaltyResult &
-lookupOrRun(const SimParams &params, const Workloads &workloads,
-            bool skip_baseline)
-{
-    const std::string key = cacheKey(params, workloads);
-    {
-        ResultCache &cache = resultCache();
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        auto it = cache.map.find(key);
-        if (it != cache.map.end())
-            return it->second;
-    }
-    // Cold path — a point queried by a summary() without having been
-    // registered. Runs serially; registered points were precomputed by
-    // the sweep in benchMain.
-    if constexpr (std::is_same_v<Workloads,
-                                 std::vector<WorkloadParams>>) {
-        return store(key,
-                     measurePenalty(params, workloads, skip_baseline));
-    } else {
-        return store(key, measurePenalty(params, workloads));
-    }
-}
-
-} // namespace detail
-
-/** Memoized penalty measurement (named benchmarks). */
-inline const PenaltyResult &
-runCached(const SimParams &params, const std::vector<std::string> &benches)
-{
-    return detail::lookupOrRun(params, benches, false);
-}
-
-/** Memoized measurement for explicit workloads. */
-inline const PenaltyResult &
-runCachedWorkloads(const SimParams &params,
-                   const std::vector<WorkloadParams> &workloads,
-                   bool skipBaseline = false)
-{
-    return detail::lookupOrRun(params, workloads, skipBaseline);
+    pendingJobs().emplace_back(std::move(params), std::move(workloads),
+                               label, skipBaseline);
 }
 
 /**
- * Register a google-benchmark point that runs (memoized) and exposes
- * the headline counters, and queue it for the parallel sweep.
+ * Read-only view of a finished run for the summary tables: each
+ * queued point's result, looked up by the (params, workloads) it was
+ * queued with. Asking for a point no job queued is a bug in the
+ * binary and panics.
  */
-inline void
-registerPenaltyBench(const std::string &name, SimParams params,
-                     std::vector<std::string> benches)
+class Results
 {
-    pendingJobs().emplace_back(params, benches, name);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [params, benches](benchmark::State &state) {
-            const PenaltyResult *result = nullptr;
-            for (auto _ : state)
-                result = &runCached(params, benches);
-            state.counters["penalty_per_miss"] = result->penaltyPerMiss();
-            state.counters["tlb_fraction"] = result->tlbFraction();
-            state.counters["ipc"] = result->mech.ipc;
-            state.counters["misses_per_kinst"] = result->missesPerKilo();
-        })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-}
+  public:
+    Results(const std::vector<SweepJob> &jobs,
+            const std::vector<CampaignOutcome> &outcomes)
+    {
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            panic_if(!outcomes[i].ok(), "no result for '%s'",
+                     jobs[i].label.c_str());
+            byKey.emplace(key(jobs[i].params, jobs[i].benchmarks,
+                              jobs[i].workloads),
+                          &outcomes[i].outcome.result);
+        }
+    }
 
-/** Explicit-workload variant (e.g. the Section 6 emulation study). */
-inline void
-registerWorkloadBench(const std::string &name, SimParams params,
-                      std::vector<WorkloadParams> workloads,
-                      bool skipBaseline = false)
-{
-    pendingJobs().emplace_back(params, workloads, name, skipBaseline);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [params, workloads, skipBaseline](benchmark::State &state) {
-            const PenaltyResult *result = nullptr;
-            for (auto _ : state)
-                result = &runCachedWorkloads(params, workloads,
-                                             skipBaseline);
-            state.counters["cycles"] =
-                double(result->mech.measuredCycles);
-            state.counters["emulations"] =
-                double(result->mech.emulations);
-        })
-        ->Iterations(1)->Unit(benchmark::kMillisecond);
-}
+    const PenaltyResult &
+    get(const SimParams &params,
+        const std::vector<std::string> &benches) const
+    {
+        return find(key(params, benches, {}));
+    }
+
+    const PenaltyResult &
+    get(const SimParams &params,
+        const std::vector<WorkloadParams> &workloads) const
+    {
+        return find(key(params, {}, workloads));
+    }
+
+  private:
+    static std::string
+    key(const SimParams &params, const std::vector<std::string> &benches,
+        const std::vector<WorkloadParams> &workloads)
+    {
+        std::string out = params.canonicalKey();
+        for (const auto &bench : benches)
+            out += "|n:" + bench;
+        for (const auto &wp : workloads)
+            out += "|w:" + canonicalKey(wp);
+        return out;
+    }
+
+    const PenaltyResult &
+    find(const std::string &key) const
+    {
+        auto it = byKey.find(key);
+        panic_if(it == byKey.end(),
+                 "summary looked up a point that was never queued");
+        return *it->second;
+    }
+
+    std::map<std::string, const PenaltyResult *> byKey;
+};
 
 /** Pretty table writer used for the paper-vs-measured summaries. */
 class Table
@@ -339,23 +283,29 @@ fmt(double value, int precision = 1)
 }
 
 /**
- * Standard main: execute the queued jobs on the sweep pool, let
- * google-benchmark report its (now memoized) points, print the
- * paper-style table, and emit the JSON results file.
- */
-/**
- * Fault-tolerant campaign execution of the job list: isolation,
- * retries, journaling, sharding, graceful SIGINT/SIGTERM drain.
- * Exit codes: 0 all cells ok, 1 completed with failed cells,
- * 130 interrupted (resumable via --resume on the journal).
+ * Standard main: run the queued points through the CampaignRunner,
+ * print the paper-style tables once every cell has a result (plain,
+ * isolated, retried or resumed alike), and write the results JSON.
+ * SIGINT/SIGTERM drain in-flight cells and stop. Exit codes: 0 all
+ * cells ok, 1 completed with failed cells, 130 interrupted (resumable
+ * via --resume on the journal).
  */
 inline int
-benchCampaignMain(const std::string &name,
-                  const std::vector<SweepJob> &jobs)
+benchMain(void (*summary)(const Results &))
 {
     const BenchConfig &config = benchConfig();
-    CampaignRunner runner(config.campaign, config.jobs);
+    std::vector<SweepJob> &jobs = pendingJobs();
 
+    // Fault-injection drill: arm the deterministic panic on matching
+    // cells.
+    if (!config.injectPanic.empty()) {
+        for (SweepJob &job : jobs) {
+            if (job.label.find(config.injectPanic) != std::string::npos)
+                job.params.verify.panicAtCycle = 1000;
+        }
+    }
+
+    CampaignRunner runner(config.campaign, config.jobs);
     auto start = std::chrono::steady_clock::now();
     std::vector<CampaignOutcome> outcomes = runner.run(
         jobs, [&](size_t i, const CampaignOutcome &outcome) {
@@ -371,30 +321,54 @@ benchCampaignMain(const std::string &name,
                       std::chrono::steady_clock::now() - start)
                       .count();
 
-    size_t failed = 0;
+    // Progress and failures go to stderr: stdout (the tables) stays
+    // byte-identical for any --jobs value and campaign mode. The
+    // aggregate KIPS (simulated instructions of the cells run here /
+    // wall time) tracks simulator speed; bench_simspeed measures it
+    // properly per mechanism.
+    size_t failed = 0, missing = 0;
+    uint64_t simulated = 0;
     for (size_t i = 0; i < jobs.size(); ++i) {
-        if (outcomes[i].state != CellState::Failed)
+        const CampaignOutcome &outcome = outcomes[i];
+        if (outcome.state == CellState::Done)
+            simulated += outcome.outcome.result.mech.userInsts +
+                         outcome.outcome.result.perfect.userInsts;
+        if (outcome.ok())
+            continue;
+        ++missing;
+        if (outcome.state != CellState::Failed)
             continue;
         ++failed;
-        const JobFailure &f = outcomes[i].failure;
+        const JobFailure &f = outcome.failure;
         std::fprintf(stderr, "# failure: %s: %s (%u attempt%s%s)\n",
                      jobs[i].label.c_str(), f.message.c_str(),
                      f.attempts, f.attempts == 1 ? "" : "s",
                      f.quarantined ? ", quarantined" : "");
     }
-    std::fprintf(stderr, "# campaign: %zu cells, %zu failed, %.1fs%s\n",
-                 jobs.size(), failed, wall,
+    std::fprintf(stderr,
+                 "# campaign: %zu cells, %zu failed, %u threads, %.1fs "
+                 "(%.0f KIPS aggregate)%s\n",
+                 jobs.size(), failed, runner.threads(), wall,
+                 wall > 0.0 ? double(simulated) / wall / 1000.0 : 0.0,
                  runner.interrupted() ? " [interrupted]" : "");
+
+    if (missing == 0)
+        summary(Results(jobs, outcomes));
+    else
+        std::fprintf(stderr,
+                     "# tables not printed: %zu of %zu cells have no "
+                     "result\n",
+                     missing, jobs.size());
 
     if (config.emitJson) {
         std::string path = config.jsonPath.empty()
-                               ? "results/" + name + ".json"
+                               ? "results/" + config.name + ".json"
                                : config.jsonPath;
-        if (writeCampaignResultsJson(path, name, jobs, outcomes,
+        if (writeCampaignResultsJson(path, config.name, jobs, outcomes,
                                      runner.threads(), wall,
                                      config.campaign,
                                      runner.interrupted()))
-            std::printf("wrote %s\n", path.c_str());
+            std::printf("\nwrote %s\n", path.c_str());
         else
             std::fprintf(stderr, "error: could not write %s\n",
                          path.c_str());
@@ -403,84 +377,6 @@ benchCampaignMain(const std::string &name,
     if (runner.interrupted())
         return 130;
     return failed ? 1 : 0;
-}
-
-inline int
-benchMain(int argc, char **argv, void (*summary)())
-{
-    // Binary name ("bench_fig5_mechanisms") for the results file.
-    std::string name = argv[0];
-    if (auto slash = name.rfind('/'); slash != std::string::npos)
-        name = name.substr(slash + 1);
-
-    // Fault-injection drill: arm the deterministic panic on matching
-    // cells before either execution path sees the job list.
-    if (!benchConfig().injectPanic.empty()) {
-        for (SweepJob &job : pendingJobs()) {
-            if (job.label.find(benchConfig().injectPanic) !=
-                std::string::npos)
-                job.params.verify.panicAtCycle = 1000;
-        }
-    }
-
-    // Campaign mode replaces the sweep/benchmark/summary pipeline:
-    // google-benchmark counters and summary() go through the memoized
-    // runCached cold path, which would re-run a crashed configuration
-    // in this process — exactly what isolation exists to prevent.
-    if (benchConfig().campaign.active())
-        return benchCampaignMain(name, pendingJobs());
-
-    const std::vector<SweepJob> &jobs = pendingJobs();
-    SweepRunner runner(benchConfig().jobs);
-    auto start = std::chrono::steady_clock::now();
-    std::vector<SweepOutcome> outcomes = runner.run(jobs);
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        const SweepJob &job = jobs[i];
-        if (!job.workloads.empty())
-            detail::store(detail::cacheKey(job.params, job.workloads),
-                          outcomes[i].result);
-        else
-            detail::store(detail::cacheKey(job.params, job.benchmarks),
-                          outcomes[i].result);
-    }
-    // Progress to stderr: stdout (tables, counters) stays
-    // byte-identical for any --jobs value. The aggregate KIPS (summed
-    // simulated instructions / sweep wall time) tracks simulator
-    // speed; bench_simspeed measures it properly per mechanism.
-    uint64_t swept_insts = 0;
-    for (const SweepOutcome &outcome : outcomes) {
-        swept_insts += outcome.result.mech.userInsts;
-        swept_insts += outcome.result.perfect.userInsts;
-    }
-    std::fprintf(stderr,
-                 "# sweep: %zu cells on %u threads in %.1fs "
-                 "(%.0f KIPS aggregate)\n",
-                 jobs.size(), runner.threads(), wall,
-                 wall > 0.0 ? double(swept_insts) / wall / 1000.0 : 0.0);
-
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (summary)
-        summary();
-
-    const BenchConfig &config = benchConfig();
-    if (config.emitJson) {
-        std::string path = config.jsonPath.empty()
-                               ? "results/" + name + ".json"
-                               : config.jsonPath;
-        if (writeSweepResultsJson(path, name, jobs, outcomes,
-                                  runner.threads(), wall))
-            std::printf("\nwrote %s (%zu cells)\n", path.c_str(),
-                        jobs.size());
-        else
-            std::fprintf(stderr, "error: could not write %s\n",
-                         path.c_str());
-    }
-    return 0;
 }
 
 } // namespace zmtbench

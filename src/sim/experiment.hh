@@ -15,7 +15,7 @@
  * simulation-relevant field — so configurations that differ in any
  * way (memory latencies, cache geometry, predictor shape, ...) can
  * never alias to a stale baseline. The cache is thread-safe: the
- * sweep runner (sim/sweep.hh) calls measurePenalty from worker
+ * campaign runner (sim/campaign.hh) calls measurePenalty from worker
  * threads, and concurrent requests for the same baseline run it
  * exactly once (later requesters block on the first run's future).
  */

@@ -103,7 +103,6 @@ TEST(CampaignFlags, ParsesAndStripsEverything)
     argv[argc] = nullptr;
 
     CampaignOptions opts;
-    EXPECT_FALSE(opts.active());
     parseCampaignFlags(argc, argv, opts);
 
     EXPECT_TRUE(opts.isolate);
@@ -114,19 +113,23 @@ TEST(CampaignFlags, ParsesAndStripsEverything)
     EXPECT_EQ(opts.shardCount, 4u);
     EXPECT_EQ(opts.journalPath, "j.path");
     EXPECT_EQ(opts.resumePath, "r.path");
-    EXPECT_TRUE(opts.active());
 
     ASSERT_EQ(argc, 3);
     EXPECT_STREQ(argv[1], "keep1");
     EXPECT_STREQ(argv[2], "keep2");
 }
 
+// Default options run every cell in-process, once, unjournaled.
 TEST(CampaignFlags, DefaultsAreInactive)
 {
     CampaignOptions opts;
-    EXPECT_FALSE(opts.active());
-    opts.shardCount = 2;
-    EXPECT_TRUE(opts.active());
+    EXPECT_FALSE(opts.isolate);
+    EXPECT_EQ(opts.timeoutSeconds, 0.0);
+    EXPECT_EQ(opts.retries, 0u);
+    EXPECT_EQ(opts.shardIndex, 0u);
+    EXPECT_EQ(opts.shardCount, 1u);
+    EXPECT_TRUE(opts.journalPath.empty());
+    EXPECT_TRUE(opts.resumePath.empty());
 }
 
 TEST(CampaignFlagsDeathTest, RejectsMalformedShard)
@@ -398,27 +401,36 @@ TEST(Journal, RejectsForeignFile)
 // Campaign runs: resume, shards, isolation, interruption
 // ---------------------------------------------------------------------
 
-TEST(Campaign, PlainRunMatchesSweepRunner)
+// A plain (in-process) run and an --isolate run of the same jobs must
+// produce the same results document, so the tables a bench binary
+// renders from them are identical in both modes.
+TEST(Campaign, PlainRunMatchesIsolatedRun)
 {
     const std::vector<SweepJob> jobs = tinyJobList();
+    CampaignOptions plainOpts; // defaults: in-process, no journal
     clearBaselineCache();
-    std::vector<SweepOutcome> plain = SweepRunner(2).run(jobs);
+    std::vector<CampaignOutcome> plain =
+        CampaignRunner(plainOpts, 2).run(jobs);
 
+    CampaignOptions isolatedOpts;
+    isolatedOpts.isolate = true;
     clearBaselineCache();
-    CampaignOptions opts; // inactive: in-process, no journal
-    std::vector<CampaignOutcome> campaign =
-        CampaignRunner(opts, 2).run(jobs);
+    std::vector<CampaignOutcome> isolated =
+        CampaignRunner(isolatedOpts, 2).run(jobs);
 
-    ASSERT_EQ(campaign.size(), jobs.size());
+    ASSERT_EQ(plain.size(), jobs.size());
+    ASSERT_EQ(isolated.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(campaign[i].state, CellState::Done);
-        EXPECT_EQ(campaign[i].outcome.result.mech.cycles,
-                  plain[i].result.mech.cycles)
-            << jobs[i].label;
-        EXPECT_EQ(campaign[i].outcome.result.perfect.cycles,
-                  plain[i].result.perfect.cycles)
+        EXPECT_EQ(plain[i].state, CellState::Done) << jobs[i].label;
+        EXPECT_EQ(isolated[i].state, CellState::Done) << jobs[i].label;
+        EXPECT_EQ(serializeSweepOutcome(SweepOutcome{
+                      plain[i].outcome.result, 0.0}),
+                  serializeSweepOutcome(SweepOutcome{
+                      isolated[i].outcome.result, 0.0}))
             << jobs[i].label;
     }
+    EXPECT_EQ(mergedJson(jobs, plain, plainOpts),
+              mergedJson(jobs, isolated, plainOpts));
 }
 
 TEST(Campaign, ResumeFromPartialJournalIsByteIdentical)

@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/campaign.hh"
 #include "sim/simulator.hh"
-#include "sim/sweep.hh"
 
 namespace
 {
@@ -221,17 +221,21 @@ TEST(GoldenSweep, SerialAndParallelSweepsAreBitIdentical)
                           std::string("golden/") + mechName(mech));
     }
 
-    std::vector<SweepOutcome> serial = SweepRunner(1).run(jobs);
-    std::vector<SweepOutcome> parallel = SweepRunner(8).run(jobs);
+    std::vector<CampaignOutcome> serial =
+        CampaignRunner(CampaignOptions{}, 1).run(jobs);
+    std::vector<CampaignOutcome> parallel =
+        CampaignRunner(CampaignOptions{}, 8).run(jobs);
 
     ASSERT_EQ(serial.size(), jobs.size());
     ASSERT_EQ(parallel.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(coreResultKey(serial[i].result.mech),
-                  coreResultKey(parallel[i].result.mech))
+        ASSERT_TRUE(serial[i].ok()) << jobs[i].label;
+        ASSERT_TRUE(parallel[i].ok()) << jobs[i].label;
+        EXPECT_EQ(coreResultKey(serial[i].outcome.result.mech),
+                  coreResultKey(parallel[i].outcome.result.mech))
             << jobs[i].label;
-        EXPECT_EQ(coreResultKey(serial[i].result.perfect),
-                  coreResultKey(parallel[i].result.perfect))
+        EXPECT_EQ(coreResultKey(serial[i].outcome.result.perfect),
+                  coreResultKey(parallel[i].outcome.result.perfect))
             << jobs[i].label;
     }
 }

@@ -1,10 +1,11 @@
 /**
  * @file
- * Sweep-runner tests: the parallel-for building block, determinism
- * under parallelism (the --jobs 1 vs --jobs 8 contract), baseline
- * sharing across worker threads, flag parsing, and the JSON emitter's
- * schema (validated with a small recursive-descent JSON parser so the
- * files are guaranteed machine-readable, not just grep-able).
+ * Sweep tests: the parallel-for building block, determinism of the
+ * in-process CampaignRunner under parallelism (the --jobs 1 vs
+ * --jobs 8 contract), baseline sharing across worker threads, flag
+ * parsing, and the results JSON emitter's schema (validated with a
+ * small recursive-descent JSON parser so the files are guaranteed
+ * machine-readable, not just grep-able).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "sim/sweep.hh"
+#include "sim/campaign.hh"
 
 namespace
 {
@@ -193,17 +194,21 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts)
     const std::vector<SweepJob> jobs = tinyJobList();
 
     clearBaselineCache();
-    std::vector<SweepOutcome> serial = SweepRunner(1).run(jobs);
+    std::vector<CampaignOutcome> serial =
+        CampaignRunner(CampaignOptions{}, 1).run(jobs);
     clearBaselineCache();
-    std::vector<SweepOutcome> parallel = SweepRunner(8).run(jobs);
+    std::vector<CampaignOutcome> parallel =
+        CampaignRunner(CampaignOptions{}, 8).run(jobs);
 
     ASSERT_EQ(serial.size(), jobs.size());
     ASSERT_EQ(parallel.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        expectSameResult(serial[i].result.mech, parallel[i].result.mech,
-                         jobs[i].label + " (mech)");
-        expectSameResult(serial[i].result.perfect,
-                         parallel[i].result.perfect,
+        ASSERT_EQ(serial[i].state, CellState::Done) << jobs[i].label;
+        ASSERT_EQ(parallel[i].state, CellState::Done) << jobs[i].label;
+        const PenaltyResult &a = serial[i].outcome.result;
+        const PenaltyResult &b = parallel[i].outcome.result;
+        expectSameResult(a.mech, b.mech, jobs[i].label + " (mech)");
+        expectSameResult(a.perfect, b.perfect,
                          jobs[i].label + " (perfect)");
     }
 }
@@ -215,7 +220,7 @@ TEST(SweepRunner, BaselinesSharedAcrossWorkers)
 {
     const std::vector<SweepJob> jobs = tinyJobList();
     clearBaselineCache();
-    SweepRunner(8).run(jobs);
+    CampaignRunner(CampaignOptions{}, 8).run(jobs);
     // 6 jobs, 2 workloads, identical machine shape: 2 baselines.
     EXPECT_EQ(baselineCacheSize(), 2u);
 }
@@ -252,22 +257,26 @@ TEST(SweepJson, SchemaFieldsPresentAndParseable)
     SweepJob custom(tinyParams(ExceptMech::Multithreaded), {wp},
                     "cell/custom", /*skip_baseline=*/true);
 
-    SweepOutcome a;
-    a.result.mech.cycles = 1234;
-    a.result.mech.measuredCycles = 1000;
-    a.result.mech.measuredMisses = 10;
-    a.result.mech.measuredInsts = 5000;
-    a.result.perfect.measuredCycles = 900;
-    a.wallSeconds = 0.25;
-    SweepOutcome b;
+    CampaignOutcome a;
+    a.state = CellState::Done;
+    a.outcome.result.mech.cycles = 1234;
+    a.outcome.result.mech.measuredCycles = 1000;
+    a.outcome.result.mech.measuredMisses = 10;
+    a.outcome.result.mech.measuredInsts = 5000;
+    a.outcome.result.perfect.measuredCycles = 900;
+    a.outcome.wallSeconds = 0.25;
+    CampaignOutcome b;
+    b.state = CellState::Done;
 
-    std::string json = sweepResultsJson(
-        "bench_unit", {named, custom}, {a, b}, 8, 1.5);
+    std::string json =
+        campaignResultsJson("bench_unit", {named, custom}, {a, b}, 8, 1.5,
+                            CampaignOptions{}, false);
 
     ASSERT_TRUE(isValidJson(json)) << json;
     for (const char *key :
          {"\"schema\":\"zmt-sweep-results-v1\"", "\"name\":\"bench_unit\"",
-          "\"jobs\":8", "\"wall_seconds\":", "\"cells\":[", "\"label\":",
+          "\"jobs\":8", "\"wall_seconds\":", "\"campaign\":{",
+          "\"completed\":2", "\"cells\":[", "\"label\":",
           "\"index\":0", "\"failure\":null",
           "\"benchmarks\":[\"compress\"]", "\"penalty_per_miss\":",
           "\"tlb_fraction\":", "\"ipc\":", "\"misses_per_kinst\":",
@@ -295,8 +304,10 @@ TEST(SweepJson, WholeParamSpaceSerialized)
     EXPECT_GE(fields, 50u);
 
     SweepJob job(params, std::vector<std::string>{"gcc"}, "cell");
-    std::string json =
-        sweepResultsJson("bench_unit", {job}, {SweepOutcome{}}, 1, 0.0);
+    CampaignOutcome done;
+    done.state = CellState::Done;
+    std::string json = campaignResultsJson("bench_unit", {job}, {done}, 1,
+                                           0.0, CampaignOptions{}, false);
     ASSERT_TRUE(isValidJson(json));
     params.forEachParam(
         [&](const std::string &name, const std::string &value) {
