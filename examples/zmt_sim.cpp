@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/trace.hh"
 #include "sim/experiment.hh"
 
 int
@@ -39,8 +38,6 @@ main(int argc, char **argv)
             dump_stats = true;
         } else if (arg == "--csv") {
             dump_csv = true;
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            trace::setTraceFlags(arg.substr(8));
         } else if (arg == "--attrib") {
             params.obs.attrib = true;
         } else if (arg.rfind("--pipeview=", 0) == 0) {
@@ -59,7 +56,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "usage: %s [--stats] [--csv] [--attrib] "
                      "[--pipeview=FILE] [--events=FILE] "
-                     "[--trace=exc,...] [key=value ...] bench...\n"
+                     "[key=value ...] bench...\n"
                      "benchmarks: alphadoom applu compress deltablue gcc "
                      "hydro2d murphi vortex\n"
                      "(bench list may be empty when ffwd.restore=FILE "

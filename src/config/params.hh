@@ -384,7 +384,11 @@ struct SimParams
      */
     uint64_t warmupInsts = 0;
 
-    /** Workload-generation seed. */
+    /**
+     * Fault-injector seed used when verify.seed is 0. Named benchmark
+     * presets carry their own workload seeds and never read this one,
+     * so without fault injection it has no effect on a run.
+     */
     uint64_t seed = 1;
 
     /**

@@ -442,7 +442,8 @@ class SmtCore : public stats::StatGroup
         if (obsLog) [[unlikely]] {
             obsLog->emit({curCycle, inst.seq, arg, inst.tid, kind,
                           uint8_t((inst.palMode ? obs::EvPalMode : 0) |
-                                  extra_flags)});
+                                  extra_flags),
+                          inst.pc});
         }
     }
 

@@ -56,6 +56,8 @@ writeChromeTrace(std::ostream &os, const ExcTimeline &timeline)
         std::string args =
             ",\"args\":{\"handling\":" + std::to_string(id) +
             ",\"faultSeq\":" + std::to_string(h.faultSeq) +
+            ",\"pc\":" + std::to_string(h.pc) +
+            ",\"va\":" + std::to_string(h.va) +
             ",\"vpn\":" + std::to_string(h.vpn) +
             ",\"emul\":" + (h.emul ? "true" : "false") +
             ",\"warm\":" + (h.warm ? "true" : "false") +

@@ -25,9 +25,9 @@ namespace zmt::obs
  * instruction's seq/tid/pc; exception-lifecycle events carry the
  * thread they happen on plus a kind-specific argument:
  *
- *   MissDetect      tid=app thread, seq=excepting inst, arg=vpn
+ *   MissDetect      tid=app thread, seq=excepting inst, arg=fault va
  *   EmulDetect      tid=app thread, seq=excepting inst
- *   Trap            tid=app thread (inline handler starts), arg=vpn
+ *   Trap            tid=app thread (inline handler starts), arg=fault va
  *   Spawn           tid=master,  arg=handler thread id
  *   Fallback        tid=master (no idle context -> traditional)
  *   QsWarm/QsCold   tid=handler (quick-start buffer state at spawn)
@@ -97,7 +97,7 @@ enum EventFlags : uint8_t
     EvEmul = 1u << 2,    //!< instruction-emulation exception (vs TLB miss)
 };
 
-/** One observed occurrence. 32 bytes, trivially copyable. */
+/** One observed occurrence. 40 bytes, trivially copyable. */
 struct Event
 {
     Cycle cycle = 0;
@@ -106,9 +106,10 @@ struct Event
     ThreadID tid = InvalidThreadID;
     EventKind kind = EventKind::Fetched;
     uint8_t flags = 0;
+    Addr pc = 0; //!< the instruction's pc (0 on thread-level events)
 };
 
-static_assert(sizeof(Event) <= 32, "keep Event cheap to copy");
+static_assert(sizeof(Event) <= 40, "keep Event cheap to copy");
 
 /** Online consumer of events (the ExcTimeline analyzer). */
 class EventSink

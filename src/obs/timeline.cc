@@ -65,7 +65,9 @@ ExcTimeline::onEvent(const Event &ev)
         open.h.shape = Handling::Shape::Inline;
         open.h.master = ev.tid;
         open.h.faultSeq = ev.seq;
-        open.h.vpn = ev.arg;
+        open.h.pc = ev.pc;
+        open.h.va = ev.arg;
+        open.h.vpn = pageNum(ev.arg);
         open.h.emul = (ev.flags & EvEmul) != 0;
         open.h.start = ev.cycle;
         auto d = lastDetect.find(ev.tid);
@@ -93,12 +95,14 @@ ExcTimeline::onEvent(const Event &ev)
         open.h.master = ev.tid;
         open.h.handler = handler;
         open.h.faultSeq = ev.seq;
+        open.h.pc = ev.pc;
         open.h.emul = (ev.flags & EvEmul) != 0;
         open.h.start = ev.cycle;
         auto d = lastDetect.find(ev.tid);
         if (d != lastDetect.end() && d->second.seq == ev.seq) {
             open.h.detect = d->second.cycle;
-            open.h.vpn = d->second.vpn;
+            open.h.va = d->second.va;
+            open.h.vpn = pageNum(d->second.va);
         } else {
             open.h.detect = ev.cycle;
         }
@@ -195,7 +199,11 @@ ExcTimeline::onEvent(const Event &ev)
         open.h.shape = Handling::Shape::Walk;
         open.h.master = ev.tid;
         open.h.faultSeq = ev.seq;
+        open.h.pc = ev.pc;
         open.h.vpn = ev.arg & ((uint64_t{1} << 44) - 1);
+        if (auto d = lastDetect.find(ev.tid);
+            d != lastDetect.end() && d->second.seq == ev.seq)
+            open.h.va = d->second.va;
         open.h.detect = open.h.start = ev.cycle;
         walkOpen.emplace(ev.arg, std::move(open));
         break;

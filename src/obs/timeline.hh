@@ -47,6 +47,8 @@ struct Handling
     ThreadID master = InvalidThreadID;
     ThreadID handler = InvalidThreadID; //!< Thread shape only
     SeqNum faultSeq = 0;
+    Addr pc = 0; //!< the excepting instruction's pc
+    Addr va = 0; //!< its faulting virtual address (TLB misses)
     Addr vpn = 0;
     unsigned relinks = 0;
 
@@ -111,7 +113,7 @@ class ExcTimeline : public EventSink, public stats::StatGroup
     {
         Cycle cycle = 0;
         SeqNum seq = 0;
-        Addr vpn = 0;
+        Addr va = 0;
         bool emul = false;
     };
 

@@ -14,19 +14,16 @@
 #include <sys/stat.h>
 #include <thread>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "common/fieldcodec.hh"
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/jsonparse.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace zmt
 {
@@ -286,8 +283,6 @@ tailOf(const std::string &text)
 
 } // anonymous namespace
 
-#ifndef _WIN32
-
 ChildResult
 runInForkedChild(const std::function<std::string()> &fn,
                  double timeoutSeconds)
@@ -415,30 +410,6 @@ runInForkedChild(const std::function<std::string()> &fn,
     return res;
 }
 
-#else // _WIN32
-
-ChildResult
-runInForkedChild(const std::function<std::string()> &fn,
-                 double timeoutSeconds)
-{
-    // No fork: degrade to in-process execution. A crash takes the
-    // runner with it and the timeout cannot be enforced, but the
-    // journal still makes the campaign resumable after that crash.
-    (void)timeoutSeconds;
-    warn("process isolation unavailable on this platform; "
-         "running in-process");
-    ChildResult res;
-    auto start = std::chrono::steady_clock::now();
-    res.payload = fn();
-    res.wallSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    res.state = ChildResult::State::Ok;
-    return res;
-}
-
-#endif // _WIN32
-
 // ---------------------------------------------------------------------
 // Journal
 // ---------------------------------------------------------------------
@@ -519,7 +490,6 @@ CampaignJournal::~CampaignJournal() { close(); }
 bool
 CampaignJournal::open(const std::string &path)
 {
-#ifndef _WIN32
     close();
     fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC,
                 0644);
@@ -536,16 +506,11 @@ CampaignJournal::open(const std::string &path)
         ::fsync(fd);
     }
     return true;
-#else
-    (void)path;
-    return false;
-#endif
 }
 
 void
 CampaignJournal::append(const JournalRecord &record)
 {
-#ifndef _WIN32
     if (fd < 0)
         return;
     std::string payload = serializeJournalRecord(record);
@@ -561,20 +526,15 @@ CampaignJournal::append(const JournalRecord &record)
         return;
     }
     ::fsync(fd);
-#else
-    (void)record;
-#endif
 }
 
 void
 CampaignJournal::close()
 {
-#ifndef _WIN32
     if (fd >= 0) {
         ::close(fd);
         fd = -1;
     }
-#endif
 }
 
 bool
@@ -672,7 +632,6 @@ SweepOutcome
 measureJob(const SweepJob &job)
 {
     SweepOutcome outcome;
-    trace::setRunLabel(job.label);
     auto start = std::chrono::steady_clock::now();
     if (!job.workloads.empty()) {
         outcome.result =
@@ -683,7 +642,6 @@ measureJob(const SweepJob &job)
     outcome.wallSeconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
-    trace::setRunLabel("");
     return outcome;
 }
 
@@ -863,7 +821,6 @@ CampaignRunner::run(const std::vector<SweepJob> &jobs,
     gStopRequested.store(0);
     wasInterrupted = false;
 
-#ifndef _WIN32
     struct sigaction action {};
     struct sigaction oldInt {};
     struct sigaction oldTerm {};
@@ -871,7 +828,6 @@ CampaignRunner::run(const std::vector<SweepJob> &jobs,
     sigemptyset(&action.sa_mask);
     ::sigaction(SIGINT, &action, &oldInt);
     ::sigaction(SIGTERM, &action, &oldTerm);
-#endif
 
     std::mutex progressMutex;
     runner.parallelFor(jobs.size(), [&](size_t i) {
@@ -917,10 +873,8 @@ CampaignRunner::run(const std::vector<SweepJob> &jobs,
         }
     });
 
-#ifndef _WIN32
     ::sigaction(SIGINT, &oldInt, nullptr);
     ::sigaction(SIGTERM, &oldTerm, nullptr);
-#endif
 
     wasInterrupted = stopRequested();
     return outcomes;

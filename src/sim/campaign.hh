@@ -1,7 +1,7 @@
 /**
  * @file
- * The experiment runner: every bench binary runs its grid through
- * CampaignRunner.
+ * The experiment runner: every zmt_bench experiment runs its grid
+ * through CampaignRunner.
  *
  * With default options it runs each cell in-process on a SweepRunner
  * thread pool (sim/sweep.hh), results in submission order. In one
@@ -14,8 +14,7 @@
  *  - process isolation: each job runs in a forked child with captured
  *    stderr, exit status and wall-clock, so panic(), sanitizer aborts
  *    and OOM kills become a typed JobFailure record instead of taking
- *    down the runner (platforms without fork degrade to in-process
- *    execution with a warning);
+ *    down the runner (POSIX fork/pipe/poll; the runner is POSIX-only);
  *  - retry / timeout / backoff: a per-job wall-clock timeout (child is
  *    SIGKILLed), bounded retries with exponential backoff, and early
  *    quarantine when two consecutive attempts fail identically (a
@@ -66,7 +65,7 @@ struct CampaignOptions
 /**
  * Parse and strip the campaign flags from argv (compacting argc):
  * --isolate, --timeout S, --retries N, --backoff S, --shard I/N,
- * --journal PATH, --resume PATH. Shared by the bench binaries so
+ * --journal PATH, --resume PATH. Shared by zmt_bench and tools so
  * every campaign consumer spells fault tolerance the same way.
  */
 void parseCampaignFlags(int &argc, char **argv, CampaignOptions &opts);
@@ -166,7 +165,6 @@ struct ChildResult
  * parent's worker threads do no simulation work of their own in
  * isolate mode (glibc makes malloc/stdio consistent in the child; the
  * child only takes locks no parent thread holds during sweeps).
- * Platforms without fork degrade to running @p fn in-process.
  */
 ChildResult runInForkedChild(const std::function<std::string()> &fn,
                              double timeoutSeconds);

@@ -37,6 +37,20 @@ tuneAllocatorOnce()
     (void)done;
 }
 
+/**
+ * Reject values the core cannot make progress under, naming the key:
+ * a run with no window slot or no load/store port would otherwise
+ * stop only at the livelock watchdog.
+ */
+void
+checkParams(const SimParams &params)
+{
+    fatal_if(params.core.windowSize == 0,
+             "core.windowSize must be at least 1");
+    fatal_if(params.core.lsPortCount == 0,
+             "core.lsPortCount must be at least 1");
+}
+
 } // anonymous namespace
 
 Simulator::Simulator(const SimParams &params,
@@ -63,6 +77,7 @@ Simulator::Simulator(const SimParams &params,
                      const CheckpointData &checkpoint)
 {
     tuneAllocatorOnce();
+    checkParams(params);
     simParams = params;
     obsParams = params.obs;
     buildFromCheckpoint(params, checkpoint);
@@ -80,6 +95,7 @@ Simulator::build(const SimParams &params,
                  const std::vector<WorkloadParams> &workloads)
 {
     tuneAllocatorOnce();
+    checkParams(params);
     simParams = params;
     obsParams = params.obs;
 

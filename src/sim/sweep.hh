@@ -86,7 +86,7 @@ class SweepRunner
 
 /**
  * Parse a "--jobs N" / "--jobs=N" flag out of argv (compacting argc),
- * returning @p fallback when absent. Shared by the bench binaries and
+ * returning @p fallback when absent. Shared by zmt_bench and the
  * standalone tools so every sweep consumer spells parallelism the
  * same way.
  */

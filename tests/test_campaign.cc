@@ -402,7 +402,7 @@ TEST(Journal, RejectsForeignFile)
 // ---------------------------------------------------------------------
 
 // A plain (in-process) run and an --isolate run of the same jobs must
-// produce the same results document, so the tables a bench binary
+// produce the same results document, so the tables zmt_bench
 // renders from them are identical in both modes.
 TEST(Campaign, PlainRunMatchesIsolatedRun)
 {

@@ -200,6 +200,16 @@ TEST(Params, BadValueIsFatal)
                 ::testing::ExitedWithCode(1), "bad numeric");
     EXPECT_EXIT(params.setKeyValue("except.mech=warp"),
                 ::testing::ExitedWithCode(1), "unknown exception");
+
+    // Values that parse but leave the core no way to make progress are
+    // rejected when the Simulator is built, not at the livelock
+    // watchdog millions of cycles later.
+    for (const char *key : {"core.windowSize", "core.lsPortCount"}) {
+        SimParams zero;
+        zero.set(key, "0");
+        EXPECT_EXIT(Simulator(zero, std::vector<std::string>{"compress"}),
+                    ::testing::ExitedWithCode(1), key);
+    }
 }
 
 TEST(Params, FrontendDepthDecomposition)

@@ -49,6 +49,14 @@ ev(Cycle cycle, EventKind kind, ThreadID tid, SeqNum seq = 0,
     return Event{cycle, seq, arg, tid, kind, flags};
 }
 
+/** A faulting virtual address on page @p vpn (detect/trap events carry
+ *  the full address). */
+constexpr uint64_t
+vaOn(Addr vpn)
+{
+    return (vpn << PageBits) | 0x28;
+}
+
 // ---------------------------------------------------------------------
 // EventLog unit tests.
 // ---------------------------------------------------------------------
@@ -129,8 +137,8 @@ TEST(Timeline, InlineTrapPartition)
     stats::StatGroup root("root");
     ExcTimeline tl(&root);
 
-    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, /*vpn=*/5));
-    tl.onEvent(ev(100, EventKind::Trap, 0, 9, 5));
+    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, vaOn(5)));
+    tl.onEvent(ev(100, EventKind::Trap, 0, 9, vaOn(5)));
     tl.onEvent(ev(110, EventKind::Dispatched, 0, 10, 0, obs::EvPalMode));
     tl.onEvent(ev(130, EventKind::HandlerRet, 0, 14));
     tl.onEvent(ev(140, EventKind::Dispatched, 0, 20)); // refetch arrives
@@ -141,6 +149,7 @@ TEST(Timeline, InlineTrapPartition)
     EXPECT_EQ(h.shape, Handling::Shape::Inline);
     EXPECT_EQ(h.master, 0);
     EXPECT_EQ(h.faultSeq, 9u);
+    EXPECT_EQ(h.va, vaOn(5));
     EXPECT_EQ(h.vpn, 5u);
     EXPECT_EQ(h.span(), 40u);
     EXPECT_EQ(h.cat[unsigned(obs::AttribCat::Drain)], 0u);
@@ -157,7 +166,7 @@ TEST(Timeline, HandlerThreadPartition)
     stats::StatGroup root("root");
     ExcTimeline tl(&root);
 
-    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, /*vpn=*/7));
+    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, vaOn(7)));
     tl.onEvent(ev(100, EventKind::Spawn, 0, 9, /*handler=*/3));
     tl.onEvent(ev(105, EventKind::Dispatched, 3, 11, 0, obs::EvPalMode));
     tl.onEvent(ev(120, EventKind::Fill, 3, 13, 7));
@@ -169,7 +178,8 @@ TEST(Timeline, HandlerThreadPartition)
     EXPECT_EQ(h.shape, Handling::Shape::Thread);
     EXPECT_EQ(h.master, 0);
     EXPECT_EQ(h.handler, 3);
-    EXPECT_EQ(h.vpn, 7u); // carried over from the detection
+    EXPECT_EQ(h.va, vaOn(7)); // carried over from the detection
+    EXPECT_EQ(h.vpn, 7u);
     EXPECT_EQ(h.span(), 50u);
     EXPECT_EQ(h.cat[unsigned(obs::AttribCat::HandlerFetch)], 5u);
     EXPECT_EQ(h.cat[unsigned(obs::AttribCat::HandlerExec)], 15u);
@@ -184,7 +194,7 @@ TEST(Timeline, HardwareWalkPartition)
     ExcTimeline tl(&root);
 
     uint64_t key = obs::walkKey(1, 42);
-    tl.onEvent(ev(200, EventKind::MissDetect, 0, 9, 42));
+    tl.onEvent(ev(200, EventKind::MissDetect, 0, 9, vaOn(42)));
     tl.onEvent(ev(200, EventKind::WalkStart, 0, 9, key));
     tl.onEvent(ev(260, EventKind::WalkDone, InvalidThreadID, 9, key));
 
@@ -192,6 +202,7 @@ TEST(Timeline, HardwareWalkPartition)
     const Handling &h = tl.handlings()[0];
     EXPECT_TRUE(h.completed);
     EXPECT_EQ(h.shape, Handling::Shape::Walk);
+    EXPECT_EQ(h.va, vaOn(42));
     EXPECT_EQ(h.vpn, 42u);
     EXPECT_EQ(h.span(), 60u);
     EXPECT_EQ(h.cat[unsigned(obs::AttribCat::Walker)], 60u);
@@ -203,7 +214,7 @@ TEST(Timeline, CancelAbortsWithoutAttribution)
     stats::StatGroup root("root");
     ExcTimeline tl(&root);
 
-    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, 7));
+    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, vaOn(7)));
     tl.onEvent(ev(100, EventKind::Spawn, 0, 9, 3));
     tl.onEvent(ev(105, EventKind::Dispatched, 3, 11, 0, obs::EvPalMode));
     tl.onEvent(ev(118, EventKind::Cancel, 3, 0, 0)); // branch squash
@@ -225,8 +236,8 @@ TEST(Timeline, FinishAbortsOpenHandlings)
     stats::StatGroup root("root");
     ExcTimeline tl(&root);
 
-    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, 7));
-    tl.onEvent(ev(100, EventKind::Trap, 0, 9, 7));
+    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, vaOn(7)));
+    tl.onEvent(ev(100, EventKind::Trap, 0, 9, vaOn(7)));
     tl.finish(500); // run ended with the handler still in flight
 
     ASSERT_EQ(tl.handlings().size(), 1u);
@@ -239,7 +250,7 @@ TEST(Timeline, RelinkTracksSplicePointMove)
     stats::StatGroup root("root");
     ExcTimeline tl(&root);
 
-    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, 7));
+    tl.onEvent(ev(100, EventKind::MissDetect, 0, 9, vaOn(7)));
     tl.onEvent(ev(100, EventKind::Spawn, 0, 9, 3));
     tl.onEvent(ev(101, EventKind::Relink, 3, 5, 7)); // older inst, seq 5
     tl.onEvent(ev(105, EventKind::Dispatched, 3, 11, 0, obs::EvPalMode));
@@ -435,6 +446,9 @@ TEST(Exporters, ChromeTraceFormat)
     EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(text.find("zmt-chrome-trace-v1"), std::string::npos);
     EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
+    // Each handling names its faulting instruction and address.
+    EXPECT_NE(text.find("\"pc\":"), std::string::npos);
+    EXPECT_NE(text.find("\"va\":"), std::string::npos);
     // Balanced object: closes cleanly at the end.
     EXPECT_EQ(text.substr(text.size() - 2), "}\n");
 
