@@ -93,8 +93,8 @@ SimParams
 baseParams(const RunFlags &flags)
 {
     SimParams params;
-    params.maxInsts = flags.insts;
-    params.warmupInsts = flags.warmup;
+    params.maxInsts = flags.insts.value_or(BenchInsts);
+    params.warmupInsts = flags.warmup.value_or(BenchWarmup);
     // --attrib: every measured run carries the penalty-attribution
     // sink (the perfect-TLB baselines stay obs-free — experiment.cc
     // clears obs on the baseline copy).
@@ -400,8 +400,8 @@ fig7Configs(const RunFlags &flags)
         // quota), so give the mix a large budget: low-miss mixes need
         // many instructions per post-warm-up miss. Honors
         // --insts/--warmup, scaled by the three application threads.
-        config.params.maxInsts = 3 * flags.insts + 300'000;
-        config.params.warmupInsts = 3 * flags.warmup;
+        config.params.maxInsts = 3 * config.params.maxInsts + 300'000;
+        config.params.warmupInsts = 3 * config.params.warmupInsts;
     }
     return configs;
 }
@@ -679,12 +679,9 @@ emulationConfigs(const RunFlags &flags)
                             ExceptMech::QuickStart}) {
         SimParams params = baseParams(flags);
         // Shorter default than the TLB studies (emulation exceptions
-        // are denser); an explicit --insts/--warmup still takes
-        // precedence.
-        if (params.maxInsts == BenchInsts)
-            params.maxInsts = 400'000;
-        if (params.warmupInsts == BenchWarmup)
-            params.warmupInsts = 150'000;
+        // are denser); a given --insts/--warmup still takes precedence.
+        params.maxInsts = flags.insts.value_or(400'000);
+        params.warmupInsts = flags.warmup.value_or(150'000);
         params.except.mech = mech;
         params.except.emulateFsqrt = true;
         configs.push_back({mechName(mech), params});

@@ -20,6 +20,7 @@
 #ifndef ZMT_BENCH_EXPERIMENTS_HH
 #define ZMT_BENCH_EXPERIMENTS_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,10 @@ constexpr uint64_t BenchWarmup = 300'000;
 /** The flags every configuration's SimParams honor. */
 struct RunFlags
 {
-    uint64_t insts = BenchInsts;
-    uint64_t warmup = BenchWarmup;
+    /** --insts/--warmup when given; otherwise each experiment uses its
+     *  default (BenchInsts/BenchWarmup unless it says otherwise). */
+    std::optional<uint64_t> insts;
+    std::optional<uint64_t> warmup;
     bool attrib = false; //!< per-exception penalty attribution
 };
 

@@ -83,28 +83,19 @@ parseArgs(int argc, char **argv)
     opts.jobs = parseJobsFlag(argc, argv, opts.jobs);
     parseCampaignFlags(argc, argv, opts.campaign);
 
-    auto take_value = [&](int &i, const char *flag) -> const char * {
-        const size_t n = std::strlen(flag);
-        if (std::strncmp(argv[i], flag, n) == 0 && argv[i][n] == '=')
-            return argv[i] + n + 1;
-        if (std::strcmp(argv[i], flag) != 0)
-            return nullptr;
-        fatal_if(i + 1 >= argc, "%s needs a value", flag);
-        return argv[++i];
-    };
-
     for (int i = 1; i < argc; ++i) {
-        if (const char *v = take_value(i, "--insts")) {
-            opts.run.insts = std::strtoull(v, nullptr, 0);
-        } else if (const char *w = take_value(i, "--warmup")) {
-            opts.run.warmup = std::strtoull(w, nullptr, 0);
-        } else if (const char *j = take_value(i, "--json")) {
+        if (const char *v = flagValue(i, argc, argv, "--insts")) {
+            opts.run.insts = parseUnsigned("--insts", v, 1);
+        } else if (const char *w = flagValue(i, argc, argv, "--warmup")) {
+            opts.run.warmup = parseUnsigned("--warmup", w);
+        } else if (const char *j = flagValue(i, argc, argv, "--json")) {
             opts.jsonPath = j;
         } else if (std::strcmp(argv[i], "--no-json") == 0) {
             opts.emitJson = false;
         } else if (std::strcmp(argv[i], "--attrib") == 0) {
             opts.run.attrib = true;
-        } else if (const char *p = take_value(i, "--inject-panic")) {
+        } else if (const char *p =
+                       flagValue(i, argc, argv, "--inject-panic")) {
             opts.injectPanic = p;
         } else {
             fatal("unknown argument '%s' (flags: --jobs N, --insts N, "

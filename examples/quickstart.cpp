@@ -8,7 +8,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/experiment.hh"
 
@@ -17,8 +16,8 @@ main(int argc, char **argv)
 {
     using namespace zmt;
 
-    uint64_t max_insts = argc > 1 ? std::strtoull(argv[1], nullptr, 0)
-                                  : 300'000;
+    uint64_t max_insts =
+        argc > 1 ? parseUnsigned("max_insts", argv[1], 1) : 300'000;
 
     SimParams params;
     params.maxInsts = max_insts;

@@ -1,8 +1,11 @@
 #include "config/params.hh"
 
-#include <cstdio>
+#include <climits>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
+#include "common/fieldcodec.hh"
 #include "common/logging.hh"
 
 namespace zmt
@@ -88,210 +91,187 @@ CoreParams::setWidth(unsigned w)
 namespace
 {
 
-uint64_t
-parseU64(const std::string &key, const std::string &value)
+using fieldcodec::formatValue;
+
+std::string formatValue(ExceptMech mech) { return mechName(mech); }
+
+/**
+ * The one list of SimParams fields: every field of every sub-struct,
+ * as (dotted name, member), in declaration order. forEachParam emits
+ * in this order and set() looks keys up here, so a field listed once
+ * is both recorded (canonicalKey, the results JSON) and settable, and
+ * replaying a recorded configuration in order reproduces it.
+ *
+ * The baseline cache keys on this list: omitting a field would
+ * silently alias configurations that simulate differently (the
+ * pre-sweep baselineKey() bug), so keep it exhaustive. Observability
+ * never changes simulated behaviour and ffwd.save is a pure output
+ * path, but they are listed too; experiment.cc clears obs and
+ * ffwd.save on its perfect-TLB baseline copy so baseline sharing is
+ * unaffected by per-run output paths. Fast-forward and sampling change
+ * which instructions the detailed core measures.
+ */
+template <class Params, class Visit>
+void
+visitParams(Params &p, Visit &&visit)
 {
-    try {
-        size_t pos = 0;
-        uint64_t v = std::stoull(value, &pos, 0);
-        fatal_if(pos != value.size(), "trailing junk in value for %s: '%s'",
-                 key.c_str(), value.c_str());
-        return v;
-    } catch (const std::exception &) {
-        fatal("bad numeric value for %s: '%s'", key.c_str(), value.c_str());
-        return 0;
-    }
+    visit("core.width", p.core.width);
+    visit("core.windowSize", p.core.windowSize);
+    visit("core.fetchDepth", p.core.fetchDepth);
+    visit("core.decodeDepth", p.core.decodeDepth);
+    visit("core.schedDepth", p.core.schedDepth);
+    visit("core.regReadDepth", p.core.regReadDepth);
+    visit("core.fetchBufEntries", p.core.fetchBufEntries);
+    visit("core.intAluCount", p.core.intAluCount);
+    visit("core.intMulCount", p.core.intMulCount);
+    visit("core.fpAddCount", p.core.fpAddCount);
+    visit("core.fpDivCount", p.core.fpDivCount);
+    visit("core.lsPortCount", p.core.lsPortCount);
+    visit("core.idleSkip", p.core.idleSkip);
+
+    visit("mem.l1iSizeKb", p.mem.l1iSizeKb);
+    visit("mem.l1iAssoc", p.mem.l1iAssoc);
+    visit("mem.l1iLineBytes", p.mem.l1iLineBytes);
+    visit("mem.l1dSizeKb", p.mem.l1dSizeKb);
+    visit("mem.l1dAssoc", p.mem.l1dAssoc);
+    visit("mem.l1dLineBytes", p.mem.l1dLineBytes);
+    visit("mem.l2SizeKb", p.mem.l2SizeKb);
+    visit("mem.l2Assoc", p.mem.l2Assoc);
+    visit("mem.l2LineBytes", p.mem.l2LineBytes);
+    visit("mem.l2Latency", p.mem.l2Latency);
+    visit("mem.maxOutstandingMisses", p.mem.maxOutstandingMisses);
+    visit("mem.l1l2BusCyclesPerBlock", p.mem.l1l2BusCyclesPerBlock);
+    visit("mem.l2MemBusCycles", p.mem.l2MemBusCycles);
+    visit("mem.memLatency", p.mem.memLatency);
+
+    visit("tlb.dtlbEntries", p.tlb.dtlbEntries);
+
+    visit("bpred.yagsChoiceBits", p.bpred.yagsChoiceBits);
+    visit("bpred.yagsExcBits", p.bpred.yagsExcBits);
+    visit("bpred.yagsTagBits", p.bpred.yagsTagBits);
+    visit("bpred.indirectBtbBits", p.bpred.indirectBtbBits);
+    visit("bpred.indirectExcBits", p.bpred.indirectExcBits);
+    visit("bpred.rasEntries", p.bpred.rasEntries);
+    visit("bpred.historyBits", p.bpred.historyBits);
+
+    visit("except.mech", p.except.mech);
+    visit("except.idleThreads", p.except.idleThreads);
+    visit("except.windowReservation", p.except.windowReservation);
+    visit("except.handlerFetchPriority", p.except.handlerFetchPriority);
+    visit("except.relinkSecondaryMiss", p.except.relinkSecondaryMiss);
+    visit("except.deadlockSquash", p.except.deadlockSquash);
+    visit("except.hwSpeculativeFill", p.except.hwSpeculativeFill);
+    visit("except.quickStartWarmup", p.except.quickStartWarmup);
+    visit("except.emulateFsqrt", p.except.emulateFsqrt);
+    visit("except.freeHandlerExecBw", p.except.freeHandlerExecBw);
+    visit("except.freeHandlerWindow", p.except.freeHandlerWindow);
+    visit("except.freeHandlerFetchBw", p.except.freeHandlerFetchBw);
+    visit("except.instantHandlerFetch", p.except.instantHandlerFetch);
+
+    visit("verify.invariantPeriod", p.verify.invariantPeriod);
+    visit("verify.seed", p.verify.seed);
+    visit("verify.badPteProb", p.verify.badPteProb);
+    visit("verify.stealIdleProb", p.verify.stealIdleProb);
+    visit("verify.forceSecondaryMissProb",
+          p.verify.forceSecondaryMissProb);
+    visit("verify.squeezePeriod", p.verify.squeezePeriod);
+    visit("verify.squeezeDuration", p.verify.squeezeDuration);
+    visit("verify.squeezeWindowTo", p.verify.squeezeWindowTo);
+    visit("verify.handlerSquashPeriod", p.verify.handlerSquashPeriod);
+    visit("verify.mutateSpliceBug", p.verify.mutateSpliceBug);
+    visit("verify.panicAtCycle", p.verify.panicAtCycle);
+
+    visit("helper.prefetch", p.helper.prefetch);
+    visit("helper.prefetchDegree", p.helper.prefetchDegree);
+    visit("helper.prefetchDistance", p.helper.prefetchDistance);
+    visit("helper.prefetchTableSize", p.helper.prefetchTableSize);
+    visit("helper.prefetchQueue", p.helper.prefetchQueue);
+    visit("helper.checker", p.helper.checker);
+    visit("helper.checkBase", p.helper.checkBase);
+    visit("helper.checkLen", p.helper.checkLen);
+    visit("helper.watchBase", p.helper.watchBase);
+    visit("helper.watchLen", p.helper.watchLen);
+    visit("helper.syncBase", p.helper.syncBase);
+    visit("helper.syncLen", p.helper.syncLen);
+    visit("helper.traceCap", p.helper.traceCap);
+
+    visit("obs.pipeview", p.obs.pipeview);
+    visit("obs.events", p.obs.events);
+    visit("obs.attrib", p.obs.attrib);
+    visit("obs.ringCapacity", p.obs.ringCapacity);
+
+    visit("ffwd.insts", p.ffwd.insts);
+    visit("ffwd.warm", p.ffwd.warm);
+    visit("ffwd.save", p.ffwd.save);
+    visit("ffwd.restore", p.ffwd.restore);
+    visit("sample.period", p.sample.periodInsts);
+    visit("sample.detail", p.sample.detailInsts);
+    visit("sample.warmup", p.sample.warmupInsts);
+
+    visit("maxInsts", p.maxInsts);
+    visit("warmupInsts", p.warmupInsts);
+    visit("seed", p.seed);
+    visit("watchdogCycles", p.watchdogCycles);
 }
 
-double
-parseDouble(const std::string &key, const std::string &value)
+/** Parse @p value into one field of the list above, fatal naming
+ *  @p key if it does not fit the field's type. */
+template <class T>
+void
+parseField(const std::string &key, const std::string &value, T *field)
 {
-    try {
-        size_t pos = 0;
-        double v = std::stod(value, &pos);
-        fatal_if(pos != value.size(), "trailing junk in value for %s: '%s'",
-                 key.c_str(), value.c_str());
-        return v;
-    } catch (const std::exception &) {
-        fatal("bad numeric value for %s: '%s'", key.c_str(), value.c_str());
-        return 0.0;
+    if constexpr (std::is_same_v<T, ExceptMech>) {
+        *field = parseMech(value);
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+        *field = T(parseUnsigned(key, value, 0,
+                                 std::numeric_limits<T>::max()));
+    } else if (!fieldcodec::parseValue(value, field)) {
+        fatal("bad %s value for %s: '%s'",
+              std::is_same_v<T, bool> ? "boolean" : "numeric", key.c_str(),
+              value.c_str());
     }
-}
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    if (value == "1" || value == "true" || value == "on" || value == "yes")
-        return true;
-    if (value == "0" || value == "false" || value == "off" || value == "no")
-        return false;
-    fatal("bad boolean value for %s: '%s'", key.c_str(), value.c_str());
-    return false;
 }
 
 } // anonymous namespace
 
+uint64_t
+parseUnsigned(const std::string &name, const std::string &text,
+              uint64_t min, uint64_t max)
+{
+    uint64_t v = 0;
+    fatal_if(!fieldcodec::parseUint(text, &v, max) || v < min,
+             "bad numeric value for %s: '%s' (expected an integer in "
+             "[%llu, %llu])",
+             name.c_str(), text.c_str(), (unsigned long long)min,
+             (unsigned long long)max);
+    return v;
+}
+
 void
 SimParams::set(const std::string &key, const std::string &value)
 {
-    auto u = [&] { return parseU64(key, value); };
-    auto b = [&] { return parseBool(key, value); };
-
-    if (key == "core.width") { core.setWidth(unsigned(u())); return; }
-    if (key == "core.windowSize") { core.windowSize = unsigned(u()); return; }
+    // The two derived setters: core.width applies the Figure 3 pairing
+    // (window and FU pool scale with it) and core.frontendDepth splits
+    // the Figure 2 stage count. Both are plain overwrites of listed
+    // fields, and core.width is listed before those fields, so a
+    // replayed forEachParam sequence still ends on the recorded values.
+    if (key == "core.width") {
+        core.setWidth(unsigned(parseUnsigned(key, value, 0, UINT_MAX)));
+        return;
+    }
     if (key == "core.frontendDepth") {
-        core.setFrontendDepth(unsigned(u()));
+        core.setFrontendDepth(
+            unsigned(parseUnsigned(key, value, 0, UINT_MAX)));
         return;
     }
-    if (key == "core.fetchDepth") { core.fetchDepth = unsigned(u()); return; }
-    if (key == "core.regReadDepth") {
-        core.regReadDepth = unsigned(u());
-        return;
-    }
-    if (key == "core.fetchBufEntries") {
-        core.fetchBufEntries = unsigned(u());
-        return;
-    }
-    if (key == "core.lsPortCount") { core.lsPortCount = unsigned(u()); return; }
-    if (key == "core.idleSkip") { core.idleSkip = b(); return; }
-
-    if (key == "mem.l1dSizeKb") { mem.l1dSizeKb = unsigned(u()); return; }
-    if (key == "mem.l2SizeKb") { mem.l2SizeKb = unsigned(u()); return; }
-    if (key == "mem.memLatency") { mem.memLatency = unsigned(u()); return; }
-    if (key == "mem.maxOutstandingMisses") {
-        mem.maxOutstandingMisses = unsigned(u());
-        return;
-    }
-
-    if (key == "tlb.dtlbEntries") { tlb.dtlbEntries = unsigned(u()); return; }
-
-    if (key == "except.mech") { except.mech = parseMech(value); return; }
-    if (key == "except.idleThreads") {
-        except.idleThreads = unsigned(u());
-        return;
-    }
-    if (key == "except.windowReservation") {
-        except.windowReservation = b();
-        return;
-    }
-    if (key == "except.handlerFetchPriority") {
-        except.handlerFetchPriority = b();
-        return;
-    }
-    if (key == "except.relinkSecondaryMiss") {
-        except.relinkSecondaryMiss = b();
-        return;
-    }
-    if (key == "except.deadlockSquash") { except.deadlockSquash = b(); return; }
-    if (key == "except.hwSpeculativeFill") {
-        except.hwSpeculativeFill = b();
-        return;
-    }
-    if (key == "except.emulateFsqrt") {
-        except.emulateFsqrt = b();
-        return;
-    }
-    if (key == "except.quickStartWarmup") {
-        except.quickStartWarmup = unsigned(u());
-        return;
-    }
-    if (key == "except.freeHandlerExecBw") {
-        except.freeHandlerExecBw = b();
-        return;
-    }
-    if (key == "except.freeHandlerWindow") {
-        except.freeHandlerWindow = b();
-        return;
-    }
-    if (key == "except.freeHandlerFetchBw") {
-        except.freeHandlerFetchBw = b();
-        return;
-    }
-    if (key == "except.instantHandlerFetch") {
-        except.instantHandlerFetch = b();
-        return;
-    }
-
-    auto d = [&] { return parseDouble(key, value); };
-    if (key == "verify.invariantPeriod") {
-        verify.invariantPeriod = unsigned(u());
-        return;
-    }
-    if (key == "verify.seed") { verify.seed = u(); return; }
-    if (key == "verify.badPteProb") { verify.badPteProb = d(); return; }
-    if (key == "verify.stealIdleProb") { verify.stealIdleProb = d(); return; }
-    if (key == "verify.forceSecondaryMissProb") {
-        verify.forceSecondaryMissProb = d();
-        return;
-    }
-    if (key == "verify.squeezePeriod") {
-        verify.squeezePeriod = unsigned(u());
-        return;
-    }
-    if (key == "verify.squeezeDuration") {
-        verify.squeezeDuration = unsigned(u());
-        return;
-    }
-    if (key == "verify.squeezeWindowTo") {
-        verify.squeezeWindowTo = unsigned(u());
-        return;
-    }
-    if (key == "verify.handlerSquashPeriod") {
-        verify.handlerSquashPeriod = unsigned(u());
-        return;
-    }
-    if (key == "verify.mutateSpliceBug") { verify.mutateSpliceBug = b(); return; }
-    if (key == "verify.panicAtCycle") { verify.panicAtCycle = u(); return; }
-
-    if (key == "helper.prefetch") { helper.prefetch = b(); return; }
-    if (key == "helper.prefetchDegree") {
-        helper.prefetchDegree = unsigned(u());
-        return;
-    }
-    if (key == "helper.prefetchDistance") {
-        helper.prefetchDistance = unsigned(u());
-        return;
-    }
-    if (key == "helper.prefetchTableSize") {
-        helper.prefetchTableSize = unsigned(u());
-        return;
-    }
-    if (key == "helper.prefetchQueue") {
-        helper.prefetchQueue = unsigned(u());
-        return;
-    }
-    if (key == "helper.checker") { helper.checker = b(); return; }
-    if (key == "helper.checkBase") { helper.checkBase = u(); return; }
-    if (key == "helper.checkLen") { helper.checkLen = u(); return; }
-    if (key == "helper.watchBase") { helper.watchBase = u(); return; }
-    if (key == "helper.watchLen") { helper.watchLen = u(); return; }
-    if (key == "helper.syncBase") { helper.syncBase = u(); return; }
-    if (key == "helper.syncLen") { helper.syncLen = u(); return; }
-    if (key == "helper.traceCap") { helper.traceCap = unsigned(u()); return; }
-
-    if (key == "obs.pipeview") { obs.pipeview = value; return; }
-    if (key == "obs.events") { obs.events = value; return; }
-    if (key == "obs.attrib") { obs.attrib = b(); return; }
-    if (key == "obs.ringCapacity") {
-        obs.ringCapacity = unsigned(u());
-        return;
-    }
-
-    if (key == "ffwd.insts") { ffwd.insts = u(); return; }
-    if (key == "ffwd.warm") { ffwd.warm = b(); return; }
-    if (key == "ffwd.save") { ffwd.save = value; return; }
-    if (key == "ffwd.restore") { ffwd.restore = value; return; }
-
-    if (key == "sample.period") { sample.periodInsts = u(); return; }
-    if (key == "sample.detail") { sample.detailInsts = u(); return; }
-    if (key == "sample.warmup") { sample.warmupInsts = u(); return; }
-
-    if (key == "maxInsts") { maxInsts = u(); return; }
-    if (key == "warmupInsts") { warmupInsts = u(); return; }
-    if (key == "seed") { seed = u(); return; }
-    if (key == "watchdogCycles") { watchdogCycles = u(); return; }
-
-    fatal("unknown parameter '%s'", key.c_str());
+    bool found = false;
+    visitParams(*this, [&](const char *name, auto &field) {
+        if (!found && key == name) {
+            found = true;
+            parseField(key, value, &field);
+        }
+    });
+    fatal_if(!found, "unknown parameter '%s'", key.c_str());
 }
 
 void
@@ -308,124 +288,9 @@ SimParams::forEachParam(
     const std::function<void(const std::string &,
                              const std::string &)> &fn) const
 {
-    auto u = [&](const char *name, uint64_t v) {
-        fn(name, std::to_string(v));
-    };
-    auto b = [&](const char *name, bool v) { fn(name, v ? "1" : "0"); };
-    auto d = [&](const char *name, double v) {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        fn(name, buf);
-    };
-
-    // Every field of every sub-struct, in declaration order. The
-    // baseline cache keys on this list: omitting a field here would
-    // silently alias configurations that simulate differently (the
-    // pre-sweep baselineKey() bug), so keep it exhaustive.
-    u("core.width", core.width);
-    u("core.windowSize", core.windowSize);
-    u("core.fetchDepth", core.fetchDepth);
-    u("core.decodeDepth", core.decodeDepth);
-    u("core.schedDepth", core.schedDepth);
-    u("core.regReadDepth", core.regReadDepth);
-    u("core.fetchBufEntries", core.fetchBufEntries);
-    u("core.intAluCount", core.intAluCount);
-    u("core.intMulCount", core.intMulCount);
-    u("core.fpAddCount", core.fpAddCount);
-    u("core.fpDivCount", core.fpDivCount);
-    u("core.lsPortCount", core.lsPortCount);
-    b("core.idleSkip", core.idleSkip);
-
-    u("mem.l1iSizeKb", mem.l1iSizeKb);
-    u("mem.l1iAssoc", mem.l1iAssoc);
-    u("mem.l1iLineBytes", mem.l1iLineBytes);
-    u("mem.l1dSizeKb", mem.l1dSizeKb);
-    u("mem.l1dAssoc", mem.l1dAssoc);
-    u("mem.l1dLineBytes", mem.l1dLineBytes);
-    u("mem.l2SizeKb", mem.l2SizeKb);
-    u("mem.l2Assoc", mem.l2Assoc);
-    u("mem.l2LineBytes", mem.l2LineBytes);
-    u("mem.l2Latency", mem.l2Latency);
-    u("mem.maxOutstandingMisses", mem.maxOutstandingMisses);
-    u("mem.l1l2BusCyclesPerBlock", mem.l1l2BusCyclesPerBlock);
-    u("mem.l2MemBusCycles", mem.l2MemBusCycles);
-    u("mem.memLatency", mem.memLatency);
-
-    u("tlb.dtlbEntries", tlb.dtlbEntries);
-
-    u("bpred.yagsChoiceBits", bpred.yagsChoiceBits);
-    u("bpred.yagsExcBits", bpred.yagsExcBits);
-    u("bpred.yagsTagBits", bpred.yagsTagBits);
-    u("bpred.indirectBtbBits", bpred.indirectBtbBits);
-    u("bpred.indirectExcBits", bpred.indirectExcBits);
-    u("bpred.rasEntries", bpred.rasEntries);
-    u("bpred.historyBits", bpred.historyBits);
-
-    fn("except.mech", mechName(except.mech));
-    u("except.idleThreads", except.idleThreads);
-    b("except.windowReservation", except.windowReservation);
-    b("except.handlerFetchPriority", except.handlerFetchPriority);
-    b("except.relinkSecondaryMiss", except.relinkSecondaryMiss);
-    b("except.deadlockSquash", except.deadlockSquash);
-    b("except.hwSpeculativeFill", except.hwSpeculativeFill);
-    u("except.quickStartWarmup", except.quickStartWarmup);
-    b("except.emulateFsqrt", except.emulateFsqrt);
-    b("except.freeHandlerExecBw", except.freeHandlerExecBw);
-    b("except.freeHandlerWindow", except.freeHandlerWindow);
-    b("except.freeHandlerFetchBw", except.freeHandlerFetchBw);
-    b("except.instantHandlerFetch", except.instantHandlerFetch);
-
-    u("verify.invariantPeriod", verify.invariantPeriod);
-    u("verify.seed", verify.seed);
-    d("verify.badPteProb", verify.badPteProb);
-    d("verify.stealIdleProb", verify.stealIdleProb);
-    d("verify.forceSecondaryMissProb", verify.forceSecondaryMissProb);
-    u("verify.squeezePeriod", verify.squeezePeriod);
-    u("verify.squeezeDuration", verify.squeezeDuration);
-    u("verify.squeezeWindowTo", verify.squeezeWindowTo);
-    u("verify.handlerSquashPeriod", verify.handlerSquashPeriod);
-    b("verify.mutateSpliceBug", verify.mutateSpliceBug);
-    u("verify.panicAtCycle", verify.panicAtCycle);
-
-    b("helper.prefetch", helper.prefetch);
-    u("helper.prefetchDegree", helper.prefetchDegree);
-    u("helper.prefetchDistance", helper.prefetchDistance);
-    u("helper.prefetchTableSize", helper.prefetchTableSize);
-    u("helper.prefetchQueue", helper.prefetchQueue);
-    b("helper.checker", helper.checker);
-    u("helper.checkBase", helper.checkBase);
-    u("helper.checkLen", helper.checkLen);
-    u("helper.watchBase", helper.watchBase);
-    u("helper.watchLen", helper.watchLen);
-    u("helper.syncBase", helper.syncBase);
-    u("helper.syncLen", helper.syncLen);
-    u("helper.traceCap", helper.traceCap);
-
-    // Observability never changes simulated behavior, but the field
-    // list stays exhaustive per the contract above; experiment.cc
-    // clears obs on its perfect-TLB baseline copy so baseline sharing
-    // is unaffected by per-run trace paths.
-    fn("obs.pipeview", obs.pipeview);
-    fn("obs.events", obs.events);
-    b("obs.attrib", obs.attrib);
-    u("obs.ringCapacity", obs.ringCapacity);
-
-    // Fast-forward and sampling change which instructions the detailed
-    // core measures, so they are simulation-relevant; ffwd.save is a
-    // pure output path, but the exhaustive-list contract keeps it here
-    // (experiment.cc clears it on the baseline copy, like obs).
-    u("ffwd.insts", ffwd.insts);
-    b("ffwd.warm", ffwd.warm);
-    fn("ffwd.save", ffwd.save);
-    fn("ffwd.restore", ffwd.restore);
-    u("sample.period", sample.periodInsts);
-    u("sample.detail", sample.detailInsts);
-    u("sample.warmup", sample.warmupInsts);
-
-    u("maxInsts", maxInsts);
-    u("warmupInsts", warmupInsts);
-    u("seed", seed);
-    u("watchdogCycles", watchdogCycles);
+    visitParams(*this, [&](const char *name, const auto &field) {
+        fn(name, formatValue(field));
+    });
 }
 
 std::string

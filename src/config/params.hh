@@ -400,7 +400,12 @@ struct SimParams
 
     /**
      * Set a parameter by dotted name, e.g. "core.width=4" or
-     * "except.mech=multithreaded". Fatal on unknown keys/values.
+     * "except.mech=multithreaded": any key forEachParam emits, plus
+     * core.frontendDepth (CoreParams::setFrontendDepth). core.width
+     * goes through CoreParams::setWidth. Integers take decimal or 0x
+     * hex and must fit the field; booleans take 1/true/on/yes and
+     * 0/false/off/no. Fatal, naming the key, on unknown keys or bad
+     * values.
      */
     void set(const std::string &key, const std::string &value);
 
@@ -411,12 +416,13 @@ struct SimParams
     std::string summary() const;
 
     /**
-     * Visit every simulation-relevant field as a (dotted-name,
-     * value-string) pair, in a fixed order. This is the single
-     * enumeration behind canonicalKey() and the sweep runner's JSON
-     * output: a field listed here is part of the baseline-cache
-     * contract (src/sim/experiment.cc), so any new SimParams field
-     * must be added to the implementation in params.cc.
+     * Visit every field as a (dotted-name, value-string) pair, in a
+     * fixed order. The list lives once, in params.cc, and set() reads
+     * the same list, so every pair emitted here is accepted by set()
+     * and replaying them in order reproduces this configuration. It is
+     * the enumeration behind canonicalKey() and the results JSON's
+     * "params": a field listed there is part of the baseline-cache
+     * contract (src/sim/experiment.cc).
      */
     void forEachParam(
         const std::function<void(const std::string &,
@@ -434,6 +440,14 @@ struct SimParams
 
 /** Parse a mechanism name ("traditional", "mt", "quickstart", ...). */
 ExceptMech parseMech(const std::string &name);
+
+/**
+ * The strict integer parse behind set() and every numeric command-line
+ * flag: decimal or 0x hex, no sign, no junk, within [@p min, @p max].
+ * Fatal naming @p name otherwise.
+ */
+uint64_t parseUnsigned(const std::string &name, const std::string &text,
+                       uint64_t min = 0, uint64_t max = UINT64_MAX);
 
 } // namespace zmt
 

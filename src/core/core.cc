@@ -82,7 +82,7 @@ SmtCore::SmtCore(const SimParams &params, std::vector<Process *> apps,
                      "instructions issued per cycle"),
       windowOccupancy(this, "windowOccupancy",
                       "instruction-window occupancy per cycle", 0,
-                      double(params.core.windowSize + 1), 16),
+                      double(params.core.windowSize) + 1, 16),
       params(params),
       physMem(mem),
       pal(pal)

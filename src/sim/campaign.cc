@@ -1,12 +1,13 @@
 #include "sim/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -38,20 +39,9 @@ namespace
 double
 parsePositiveDouble(const char *flag, const char *value)
 {
-    char *end = nullptr;
-    double v = std::strtod(value, &end);
-    fatal_if(end == value || *end != '\0' || !(v >= 0.0),
+    double v = 0.0;
+    fatal_if(!fieldcodec::parseValue(value, &v) || !(v >= 0.0),
              "bad %s value '%s'", flag, value);
-    return v;
-}
-
-unsigned long
-parseUnsigned(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    unsigned long v = std::strtoul(value, &end, 10);
-    fatal_if(end == value || *end != '\0', "bad %s value '%s'", flag,
-             value);
     return v;
 }
 
@@ -61,54 +51,32 @@ void
 parseCampaignFlags(int &argc, char **argv, CampaignOptions &opts)
 {
     int out = 1;
-    // Accept both "--flag VALUE" and "--flag=VALUE", like parseJobsFlag.
-    auto takeValue = [&](int &i, const char *arg, const char *name,
-                         const char **value) -> bool {
-        size_t n = std::strlen(name);
-        if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-            *value = arg + n + 1;
-            return true;
-        }
-        if (std::strcmp(arg, name) == 0) {
-            fatal_if(i + 1 >= argc, "%s needs a value", name);
-            *value = argv[++i];
-            return true;
-        }
-        return false;
-    };
-
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--isolate") == 0) {
+        if (std::strcmp(argv[i], "--isolate") == 0) {
             opts.isolate = true;
-        } else if (takeValue(i, arg, "--timeout", &value)) {
-            opts.timeoutSeconds = parsePositiveDouble("--timeout", value);
-        } else if (takeValue(i, arg, "--retries", &value)) {
-            opts.retries = unsigned(parseUnsigned("--retries", value));
-        } else if (takeValue(i, arg, "--backoff", &value)) {
-            opts.backoffSeconds = parsePositiveDouble("--backoff", value);
-        } else if (takeValue(i, arg, "--shard", &value)) {
-            char *end = nullptr;
-            unsigned long index = std::strtoul(value, &end, 10);
-            bool ok = end != value && *end == '/';
-            if (ok) {
-                const char *countText = end + 1;
-                unsigned long count =
-                    std::strtoul(countText, &end, 10);
-                ok = end != countText && *end == '\0' && count >= 1 &&
-                     index < count;
-                if (ok) {
-                    opts.shardIndex = unsigned(index);
-                    opts.shardCount = unsigned(count);
-                }
-            }
-            fatal_if(!ok, "bad --shard value '%s' (want I/N with I < N)",
-                     value);
-        } else if (takeValue(i, arg, "--journal", &value)) {
-            opts.journalPath = value;
-        } else if (takeValue(i, arg, "--resume", &value)) {
-            opts.resumePath = value;
+        } else if (const char *v = flagValue(i, argc, argv, "--timeout")) {
+            opts.timeoutSeconds = parsePositiveDouble("--timeout", v);
+        } else if (const char *v = flagValue(i, argc, argv, "--retries")) {
+            opts.retries =
+                unsigned(parseUnsigned("--retries", v, 0, UINT_MAX));
+        } else if (const char *v = flagValue(i, argc, argv, "--backoff")) {
+            opts.backoffSeconds = parsePositiveDouble("--backoff", v);
+        } else if (const char *v = flagValue(i, argc, argv, "--shard")) {
+            const char *slash = std::strchr(v, '/');
+            uint64_t index = 0, count = 0;
+            fatal_if(!slash ||
+                         !fieldcodec::parseUint(std::string(v, slash),
+                                                &index) ||
+                         !fieldcodec::parseUint(slash + 1, &count,
+                                                UINT_MAX) ||
+                         index >= count,
+                     "bad --shard value '%s' (want I/N with I < N)", v);
+            opts.shardIndex = unsigned(index);
+            opts.shardCount = unsigned(count);
+        } else if (const char *v = flagValue(i, argc, argv, "--journal")) {
+            opts.journalPath = v;
+        } else if (const char *v = flagValue(i, argc, argv, "--resume")) {
+            opts.resumePath = v;
         } else {
             argv[out++] = argv[i];
         }
@@ -139,93 +107,72 @@ namespace
 
 using namespace fieldcodec;
 
-void
-serializeCoreResult(std::ostringstream &os, const char *prefix,
-                    const CoreResult &r)
+/** "completed,aborted,span,cycles..." */
+std::string
+attribText(const obs::AttribSummary &a)
 {
-    os << prefix << ".status=" << runStatusName(r.status) << ' '
-       << prefix << ".error=" << encodeField(r.error) << ' '
-       << prefix << ".cycles=" << uint64_t(r.cycles) << ' '
-       << prefix << ".insts=" << r.userInsts << ' '
-       << prefix << ".misses=" << r.tlbMisses << ' '
-       << prefix << ".emul=" << r.emulations << ' '
-       << prefix << ".ipc=" << fmtDouble(r.ipc) << ' '
-       << prefix << ".mcycles=" << uint64_t(r.measuredCycles) << ' '
-       << prefix << ".minsts=" << r.measuredInsts << ' '
-       << prefix << ".mmisses=" << r.measuredMisses << ' '
-       << prefix << ".warm=" << (r.warmedUp ? 1 : 0) << ' '
-       << prefix << ".samples=" << r.sampling.samples << ' '
-       << prefix << ".sffwd=" << r.sampling.ffwdInsts << ' '
-       << prefix << ".scold=" << r.sampling.coldSamples << ' '
-       << prefix << ".sipc=" << fmtDouble(r.sampling.ipcMean) << ' '
-       << prefix << ".sipcci=" << fmtDouble(r.sampling.ipcCi95) << ' '
-       << prefix << ".smpk=" << fmtDouble(r.sampling.mpkMean) << ' '
-       << prefix << ".smpkci=" << fmtDouble(r.sampling.mpkCi95) << ' '
-       << prefix << ".attrib=" << r.attrib.completed << ','
-       << r.attrib.aborted << ',' << r.attrib.spanCycles;
-    for (uint64_t c : r.attrib.cycles)
-        os << ',' << c;
+    std::string text = std::to_string(a.completed) + ',' +
+                       std::to_string(a.aborted) + ',' +
+                       std::to_string(a.spanCycles);
+    for (uint64_t c : a.cycles)
+        text += ',' + std::to_string(c);
+    return text;
 }
 
 bool
-parseCoreResult(const TokenMap &kv, const std::string &prefix,
-                CoreResult *r)
+parseAttrib(const std::string &text, obs::AttribSummary &a)
 {
-    std::string statusName;
-    if (!getString(kv, prefix + ".status", &statusName) ||
-        !parseRunStatus(statusName, r->status))
-        return false;
-    uint64_t cycles = 0, mcycles = 0;
-    if (!getString(kv, prefix + ".error", &r->error) ||
-        !getU64(kv, prefix + ".cycles", &cycles) ||
-        !getU64(kv, prefix + ".insts", &r->userInsts) ||
-        !getU64(kv, prefix + ".misses", &r->tlbMisses) ||
-        !getU64(kv, prefix + ".emul", &r->emulations) ||
-        !getDouble(kv, prefix + ".ipc", &r->ipc) ||
-        !getU64(kv, prefix + ".mcycles", &mcycles) ||
-        !getU64(kv, prefix + ".minsts", &r->measuredInsts) ||
-        !getU64(kv, prefix + ".mmisses", &r->measuredMisses))
-        return false;
-    uint64_t warm = 0;
-    if (!getU64(kv, prefix + ".warm", &warm) ||
-        !getU64(kv, prefix + ".samples", &r->sampling.samples) ||
-        !getU64(kv, prefix + ".sffwd", &r->sampling.ffwdInsts) ||
-        !getU64(kv, prefix + ".scold", &r->sampling.coldSamples) ||
-        !getDouble(kv, prefix + ".sipc", &r->sampling.ipcMean) ||
-        !getDouble(kv, prefix + ".sipcci", &r->sampling.ipcCi95) ||
-        !getDouble(kv, prefix + ".smpk", &r->sampling.mpkMean) ||
-        !getDouble(kv, prefix + ".smpkci", &r->sampling.mpkCi95))
-        return false;
-    r->warmedUp = warm != 0;
-    r->cycles = cycles;
-    r->measuredCycles = mcycles;
-
-    auto it = kv.find(prefix + ".attrib");
-    if (it == kv.end())
-        return false;
     std::vector<uint64_t> values;
-    const std::string &list = it->second;
-    size_t i = 0;
-    while (i <= list.size()) {
-        size_t comma = list.find(',', i);
-        size_t end = comma == std::string::npos ? list.size() : comma;
-        char *stop = nullptr;
-        std::string item = list.substr(i, end - i);
-        values.push_back(std::strtoull(item.c_str(), &stop, 10));
-        if (stop == item.c_str() || *stop != '\0')
+    for (size_t i = 0; i <= text.size();) {
+        size_t end = std::min(text.find(',', i), text.size());
+        uint64_t value = 0;
+        if (!parseUint(text.substr(i, end - i), &value))
             return false;
-        if (comma == std::string::npos)
-            break;
-        i = comma + 1;
+        values.push_back(value);
+        i = end + 1;
     }
     if (values.size() != 3 + obs::NumAttribCats)
         return false;
-    r->attrib.completed = values[0];
-    r->attrib.aborted = values[1];
-    r->attrib.spanCycles = values[2];
-    for (unsigned c = 0; c < obs::NumAttribCats; ++c)
-        r->attrib.cycles[c] = values[3 + c];
+    a.completed = values[0];
+    a.aborted = values[1];
+    a.spanCycles = values[2];
+    std::copy(values.begin() + 3, values.end(), a.cycles.begin());
     return true;
+}
+
+/** One CoreResult's journal tokens, each named "<prefix>.<field>". */
+template <class Result, class Visit>
+void
+visitCoreResultFields(Result &r, const std::string &prefix, Visit &visit)
+{
+    visit(prefix + ".status", r.status, runStatusName, parseRunStatus);
+    visit(prefix + ".error", r.error);
+    visit(prefix + ".cycles", r.cycles);
+    visit(prefix + ".insts", r.userInsts);
+    visit(prefix + ".misses", r.tlbMisses);
+    visit(prefix + ".emul", r.emulations);
+    visit(prefix + ".ipc", r.ipc);
+    visit(prefix + ".mcycles", r.measuredCycles);
+    visit(prefix + ".minsts", r.measuredInsts);
+    visit(prefix + ".mmisses", r.measuredMisses);
+    visit(prefix + ".warm", r.warmedUp);
+    visit(prefix + ".samples", r.sampling.samples);
+    visit(prefix + ".sffwd", r.sampling.ffwdInsts);
+    visit(prefix + ".scold", r.sampling.coldSamples);
+    visit(prefix + ".sipc", r.sampling.ipcMean);
+    visit(prefix + ".sipcci", r.sampling.ipcCi95);
+    visit(prefix + ".smpk", r.sampling.mpkMean);
+    visit(prefix + ".smpkci", r.sampling.mpkCi95);
+    visit(prefix + ".attrib", r.attrib, attribText, parseAttrib);
+}
+
+template <class Outcome, class Visit>
+void
+visitSweepOutcomeFields(Outcome &outcome, Visit &visit)
+{
+    visit("wall", outcome.wallSeconds);
+    visitCoreResultFields(outcome.result.mech, "m", visit);
+    visitCoreResultFields(outcome.result.perfect, "p", visit);
 }
 
 } // anonymous namespace
@@ -233,12 +180,9 @@ parseCoreResult(const TokenMap &kv, const std::string &prefix,
 std::string
 serializeSweepOutcome(const SweepOutcome &outcome)
 {
-    std::ostringstream os;
-    os << "wall=" << fmtDouble(outcome.wallSeconds) << ' ';
-    serializeCoreResult(os, "m", outcome.result.mech);
-    os << ' ';
-    serializeCoreResult(os, "p", outcome.result.perfect);
-    return os.str();
+    TokenWriter writer;
+    visitSweepOutcomeFields(outcome, writer);
+    return writer.text;
 }
 
 bool
@@ -248,9 +192,9 @@ parseSweepOutcome(const std::string &text, SweepOutcome *outcome)
     if (!splitTokens(text, &kv))
         return false;
     SweepOutcome result;
-    if (!getDouble(kv, "wall", &result.wallSeconds) ||
-        !parseCoreResult(kv, "m", &result.result.mech) ||
-        !parseCoreResult(kv, "p", &result.result.perfect))
+    TokenReader reader{kv};
+    visitSweepOutcomeFields(result, reader);
+    if (!reader.ok)
         return false;
     *outcome = std::move(result);
     return true;
@@ -419,19 +363,20 @@ namespace
 
 const char JournalHeader[] = "zmt-journal-v1";
 
-std::string
-serializeJournalRecord(const JournalRecord &rec)
+template <class Record, class Visit>
+void
+visitJournalFields(Record &r, Visit &visit)
 {
-    std::ostringstream os;
-    os << "key=" << rec.key << " label=" << encodeField(rec.label)
-       << " status=" << runStatusName(rec.status)
-       << " attempts=" << rec.attempts
-       << " quarantined=" << (rec.quarantined ? 1 : 0)
-       << " exit=" << rec.exitCode << " signal=" << rec.termSignal
-       << " message=" << encodeField(rec.message)
-       << " stderr=" << encodeField(rec.stderrTail)
-       << " result=" << encodeField(rec.result);
-    return os.str();
+    visit("key", r.key);
+    visit("label", r.label);
+    visit("status", r.status, runStatusName, parseRunStatus);
+    visit("attempts", r.attempts);
+    visit("quarantined", r.quarantined);
+    visit("exit", r.exitCode);
+    visit("signal", r.termSignal);
+    visit("message", r.message);
+    visit("stderr", r.stderrTail);
+    visit("result", r.result);
 }
 
 bool
@@ -444,43 +389,14 @@ parseJournalRecord(const std::string &payload, JournalRecord *rec,
         return false;
     }
     JournalRecord r;
-    std::string statusName;
-    uint64_t attempts = 0, quarantined = 0;
-    bool ok = getString(kv, "key", &r.key) &&
-              getString(kv, "label", &r.label) &&
-              getString(kv, "status", &statusName) &&
-              parseRunStatus(statusName, r.status) &&
-              getU64(kv, "attempts", &attempts) &&
-              getU64(kv, "quarantined", &quarantined) &&
-              getInt(kv, "exit", &r.exitCode) &&
-              getInt(kv, "signal", &r.termSignal) &&
-              getString(kv, "message", &r.message) &&
-              getString(kv, "stderr", &r.stderrTail) &&
-              getString(kv, "result", &r.result);
-    if (!ok) {
+    TokenReader reader{kv};
+    visitJournalFields(r, reader);
+    if (!reader.ok) {
         *why = "missing or malformed record field";
         return false;
     }
-    r.attempts = unsigned(attempts);
-    r.quarantined = quarantined != 0;
     *rec = std::move(r);
     return true;
-}
-
-bool
-parseJournalLine(const std::string &line, JournalRecord *rec,
-                 std::string *why)
-{
-    if (line.size() < 18 || line[16] != ' ') {
-        *why = "truncated record";
-        return false;
-    }
-    std::string payload = line.substr(17);
-    if (hex64(fnv1a64(payload)) != line.substr(0, 16)) {
-        *why = "record checksum mismatch";
-        return false;
-    }
-    return parseJournalRecord(payload, rec, why);
 }
 
 } // anonymous namespace
@@ -513,8 +429,9 @@ CampaignJournal::append(const JournalRecord &record)
 {
     if (fd < 0)
         return;
-    std::string payload = serializeJournalRecord(record);
-    std::string line = hex64(fnv1a64(payload)) + " " + payload + "\n";
+    TokenWriter writer;
+    visitJournalFields(record, writer);
+    std::string line = frameRecord(writer.text) + '\n';
     std::lock_guard<std::mutex> lock(mutex);
     // One write() + fsync per record: O_APPEND makes the write atomic
     // with respect to other appenders, and a crash can at worst leave
@@ -544,31 +461,13 @@ loadJournal(const std::string &path, std::vector<JournalRecord> *records,
     if (truncatedTrailing)
         *truncatedTrailing = false;
 
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error)
-            *error = "cannot open '" + path + "'";
+    std::vector<std::string> lines;
+    if (!readRecordFile(path, &lines, error))
         return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string content = buffer.str();
-    if (content.empty())
+    if (lines.empty())
         return true;
 
-    std::vector<std::string> lines;
-    size_t pos = 0;
-    while (pos < content.size()) {
-        size_t nl = content.find('\n', pos);
-        if (nl == std::string::npos) {
-            lines.push_back(content.substr(pos));
-            break;
-        }
-        lines.push_back(content.substr(pos, nl - pos));
-        pos = nl + 1;
-    }
-
-    if (lines.empty() || lines[0] != JournalHeader) {
+    if (lines[0] != JournalHeader) {
         if (error)
             *error = "'" + path + "' is not a " + JournalHeader + " file";
         return false;
@@ -576,8 +475,9 @@ loadJournal(const std::string &path, std::vector<JournalRecord> *records,
 
     for (size_t i = 1; i < lines.size(); ++i) {
         JournalRecord rec;
-        std::string why;
-        if (!parseJournalLine(lines[i], &rec, &why)) {
+        std::string payload, why;
+        if (!unframeRecord(lines[i], &payload, &why) ||
+            !parseJournalRecord(payload, &rec, &why)) {
             // The writer appends one fsync'd line at a time, so a bad
             // FINAL line is the signature of a crash mid-append: drop
             // it and resume. A bad line anywhere else means the file

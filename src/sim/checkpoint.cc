@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/fieldcodec.hh"
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "core/core.hh"
 
@@ -39,247 +38,102 @@ hexBytes(const std::vector<uint8_t> &bytes)
 }
 
 bool
-parseHexBytes(const std::string &text, std::vector<uint8_t> *out)
+parseHexBytes(const std::string &text, std::vector<uint8_t> &out)
 {
     if (text.size() % 2 != 0)
         return false;
-    out->clear();
-    out->reserve(text.size() / 2);
+    out.clear();
+    out.reserve(text.size() / 2);
     for (size_t i = 0; i < text.size(); i += 2) {
         int hi = hexNibble(text[i]);
         int lo = hexNibble(text[i + 1]);
         if (hi < 0 || lo < 0)
             return false;
-        out->push_back(uint8_t(hi << 4 | lo));
+        out.push_back(uint8_t(hi << 4 | lo));
     }
     return true;
 }
 
-template <size_t N>
-std::string
-hexRegs(const std::array<uint64_t, N> &regs)
+/** A register file as comma-separated hex, both ways. */
+struct HexRegs
 {
-    std::string out;
-    char buf[24];
-    for (size_t i = 0; i < N; ++i) {
-        std::snprintf(buf, sizeof(buf), "%llx",
-                      (unsigned long long)regs[i]);
-        if (i)
-            out += ',';
-        out += buf;
-    }
-    return out;
-}
-
-template <size_t N>
-bool
-parseHexRegs(const TokenMap &kv, const std::string &key,
-             std::array<uint64_t, N> *regs)
-{
-    auto it = kv.find(key);
-    if (it == kv.end())
-        return false;
-    const std::string &text = it->second;
-    size_t pos = 0;
-    for (size_t i = 0; i < N; ++i) {
-        if (pos >= text.size())
-            return false;
-        char *end = nullptr;
-        (*regs)[i] = std::strtoull(text.c_str() + pos, &end, 16);
-        if (end == text.c_str() + pos)
-            return false;
-        pos = size_t(end - text.c_str());
-        if (i + 1 < N) {
-            if (pos >= text.size() || text[pos] != ',')
-                return false;
-            ++pos;
+    template <size_t N>
+    std::string
+    operator()(const std::array<uint64_t, N> &regs) const
+    {
+        std::string out;
+        char buf[24];
+        for (size_t i = 0; i < N; ++i) {
+            std::snprintf(buf, sizeof(buf), "%s%llx", i ? "," : "",
+                          (unsigned long long)regs[i]);
+            out += buf;
         }
+        return out;
     }
-    return pos == text.size();
-}
 
+    template <size_t N>
+    bool
+    operator()(const std::string &text, std::array<uint64_t, N> &regs) const
+    {
+        size_t pos = 0;
+        for (uint64_t &reg : regs) {
+            if (pos > text.size())
+                return false;
+            size_t end = std::min(text.find(',', pos), text.size());
+            std::string item = text.substr(pos, end - pos);
+            char *stop = nullptr;
+            reg = std::strtoull(item.c_str(), &stop, 16);
+            if (item.empty() || *stop != '\0')
+                return false;
+            pos = end + 1;
+        }
+        return pos == text.size() + 1;
+    }
+};
+
+/** A proc record's tokens after its index and workload key. */
+template <class Proc, class Visit>
 void
-emitRecord(std::ostream &os, const std::string &payload)
+visitProcFields(Proc &p, Visit &visit)
 {
-    os << hex64(fnv1a64(payload)) << ' ' << payload << '\n';
+    visit("asn", p.asn);
+    visit("ptbr", p.ptbr);
+    visit("valimit", p.vaLimit);
+    visit("mapped", p.mappedPages);
+    visit("entry", p.entry);
+    visit("pc", p.arch.pc);
+    visit("pal", p.arch.palMode);
+    visit("ffwd", p.ffwdInsts);
+    visit("shash", p.storeHash);
+    visit("halted", p.halted);
+    visit("int", p.arch.intRegs, HexRegs(), HexRegs());
+    visit("fp", p.arch.fpRegs, HexRegs(), HexRegs());
+    visit("priv", p.arch.privRegs, HexRegs(), HexRegs());
 }
 
-std::string
-serializeProc(size_t idx, const CheckpointProc &p)
+template <class Page, class Visit>
+void
+visitPageFields(Page &page, Visit &visit)
 {
-    std::ostringstream os;
-    os << "proc idx=" << idx
-       << " wload=" << encodeField(canonicalKey(p.wload))
-       << " asn=" << p.asn << " ptbr=" << p.ptbr
-       << " valimit=" << p.vaLimit << " mapped=" << p.mappedPages
-       << " entry=" << p.entry << " pc=" << p.arch.pc
-       << " pal=" << (p.arch.palMode ? 1 : 0)
-       << " ffwd=" << p.ffwdInsts << " shash=" << p.storeHash
-       << " halted=" << (p.halted ? 1 : 0)
-       << " int=" << hexRegs(p.arch.intRegs)
-       << " fp=" << hexRegs(p.arch.fpRegs)
-       << " priv=" << hexRegs(p.arch.privRegs);
-    return os.str();
+    visit("ppn", page.first);
+    visit("data", page.second, hexBytes, parseHexBytes);
 }
 
 bool
 parseProc(const TokenMap &kv, CheckpointProc *p, std::string *why)
 {
     std::string wloadKey;
-    uint64_t asn = 0, pal = 0, halted = 0;
-    if (!getString(kv, "wload", &wloadKey) || !getU64(kv, "asn", &asn) ||
-        !getU64(kv, "ptbr", &p->ptbr) ||
-        !getU64(kv, "valimit", &p->vaLimit) ||
-        !getU64(kv, "mapped", &p->mappedPages) ||
-        !getU64(kv, "entry", &p->entry) ||
-        !getU64(kv, "pc", &p->arch.pc) || !getU64(kv, "pal", &pal) ||
-        !getU64(kv, "ffwd", &p->ffwdInsts) ||
-        !getU64(kv, "shash", &p->storeHash) ||
-        !getU64(kv, "halted", &halted) ||
-        !parseHexRegs(kv, "int", &p->arch.intRegs) ||
-        !parseHexRegs(kv, "fp", &p->arch.fpRegs) ||
-        !parseHexRegs(kv, "priv", &p->arch.privRegs)) {
+    TokenReader reader{kv};
+    reader("wload", wloadKey);
+    visitProcFields(*p, reader);
+    if (!reader.ok) {
         *why = "missing or malformed proc field";
         return false;
     }
-    if (!parseWorkloadKey(wloadKey, &p->wload, why))
-        return false;
-    p->asn = Asn(asn);
-    p->arch.palMode = pal != 0;
-    p->halted = halted != 0;
-    return true;
+    return parseWorkloadKey(wloadKey, &p->wload, why);
 }
 
 } // anonymous namespace
-
-bool
-parseWorkloadKey(const std::string &text, WorkloadParams *wp,
-                 std::string *why)
-{
-    WorkloadParams w;
-    w.name.clear();
-    unsigned fields = 0;
-
-    auto setU = [](unsigned *dst, const std::string &v) {
-        char *end = nullptr;
-        unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0')
-            return false;
-        *dst = unsigned(parsed);
-        return true;
-    };
-    auto setU64 = [](uint64_t *dst, const std::string &v) {
-        char *end = nullptr;
-        *dst = std::strtoull(v.c_str(), &end, 10);
-        return end != v.c_str() && *end == '\0';
-    };
-    auto setB = [](bool *dst, const std::string &v) {
-        if (v != "0" && v != "1")
-            return false;
-        *dst = v == "1";
-        return true;
-    };
-
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t semi = text.find(';', pos);
-        if (semi == std::string::npos) {
-            *why = "workload key not ';'-terminated";
-            return false;
-        }
-        std::string entry = text.substr(pos, semi - pos);
-        pos = semi + 1;
-        size_t eq = entry.find('=');
-        if (eq == std::string::npos) {
-            *why = "malformed workload field '" + entry + "'";
-            return false;
-        }
-        std::string key = entry.substr(0, eq);
-        std::string value = entry.substr(eq + 1);
-
-        bool ok;
-        if (key == "name") {
-            w.name = value;
-            ok = true;
-        } else if (key == "farLoadsPerOuter") {
-            ok = setU(&w.farLoadsPerOuter, value);
-        } else if (key == "innerIters") {
-            ok = setU(&w.innerIters, value);
-        } else if (key == "farPagesLog2") {
-            ok = setU(&w.farPagesLog2, value);
-        } else if (key == "hotBytesLog2") {
-            ok = setU(&w.hotBytesLog2, value);
-        } else if (key == "aluChains") {
-            ok = setU(&w.aluChains, value);
-        } else if (key == "aluOpsPerChain") {
-            ok = setU(&w.aluOpsPerChain, value);
-        } else if (key == "fpChains") {
-            ok = setU(&w.fpChains, value);
-        } else if (key == "fpOpsPerChain") {
-            ok = setU(&w.fpOpsPerChain, value);
-        } else if (key == "useFpDiv") {
-            ok = setB(&w.useFpDiv, value);
-        } else if (key == "fsqrtOps") {
-            ok = setU(&w.fsqrtOps, value);
-        } else if (key == "serialMuls") {
-            ok = setU(&w.serialMuls, value);
-        } else if (key == "hotLoads") {
-            ok = setU(&w.hotLoads, value);
-        } else if (key == "hotStores") {
-            ok = setU(&w.hotStores, value);
-        } else if (key == "chaseLoads") {
-            ok = setU(&w.chaseLoads, value);
-        } else if (key == "farFeedsChase") {
-            ok = setB(&w.farFeedsChase, value);
-        } else if (key == "randomBranches") {
-            ok = setU(&w.randomBranches, value);
-        } else if (key == "indirectFarJumps") {
-            ok = setU(&w.indirectFarJumps, value);
-        } else if (key == "ifjFarMask") {
-            ok = setU(&w.ifjFarMask, value);
-        } else if (key == "seed") {
-            ok = setU64(&w.seed, value);
-        } else if (key == "textBase") {
-            ok = setU64(&w.textBase, value);
-        } else if (key == "hotBase") {
-            ok = setU64(&w.hotBase, value);
-        } else if (key == "farBase") {
-            ok = setU64(&w.farBase, value);
-        } else if (key == "sharedGroup") {
-            ok = setU(&w.sharedGroup, value);
-        } else if (key == "sharedBytesLog2") {
-            ok = setU(&w.sharedBytesLog2, value);
-        } else if (key == "sharedStores") {
-            ok = setU(&w.sharedStores, value);
-        } else if (key == "sharedLoads") {
-            ok = setU(&w.sharedLoads, value);
-        } else if (key == "sliceIndex") {
-            ok = setU(&w.sliceIndex, value);
-        } else if (key == "sliceCount") {
-            ok = setU(&w.sliceCount, value);
-        } else if (key == "sharedBase") {
-            ok = setU64(&w.sharedBase, value);
-        } else {
-            *why = "unknown workload field '" + key + "'";
-            return false;
-        }
-        if (!ok) {
-            *why = "malformed workload value '" + entry + "'";
-            return false;
-        }
-        ++fields;
-    }
-    // canonicalKey emits exactly these 30 fields; fewer means the key
-    // was truncated, and duplicates cannot make up for missing ones
-    // (each would have to displace another, failing a value check).
-    if (fields != 30) {
-        *why = "workload key has " + std::to_string(fields) +
-               " fields, expected 30";
-        return false;
-    }
-    *wp = std::move(w);
-    return true;
-}
 
 bool
 saveCheckpoint(const CheckpointData &data, const std::string &path,
@@ -290,7 +144,7 @@ saveCheckpoint(const CheckpointData &data, const std::string &path,
 
     uint64_t records = 0;
     auto record = [&](const std::string &payload) {
-        emitRecord(os, payload);
+        os << frameRecord(payload) << '\n';
         ++records;
     };
 
@@ -305,44 +159,40 @@ saveCheckpoint(const CheckpointData &data, const std::string &path,
         record(meta.str());
     }
 
-    for (size_t i = 0; i < data.procs.size(); ++i)
-        record(serializeProc(i, data.procs[i]));
-
-    for (const auto &[ppn, bytes] : data.pages) {
-        std::ostringstream page;
-        page << "page ppn=" << ppn << " data=" << hexBytes(bytes);
-        record(page.str());
+    for (size_t i = 0; i < data.procs.size(); ++i) {
+        TokenWriter proc;
+        proc("wload", canonicalKey(data.procs[i].wload));
+        visitProcFields(data.procs[i], proc);
+        record("proc idx=" + std::to_string(i) + ' ' + proc.text);
     }
 
-    for (size_t i = 0; i < data.warmPages.size(); i += WarmBatch) {
-        std::ostringstream wp;
-        wp << "wp v=";
-        for (size_t j = i; j < std::min(i + WarmBatch,
-                                        data.warmPages.size()); ++j) {
-            if (j > i)
-                wp << ',';
-            wp << data.warmPages[j].asn << ':' << data.warmPages[j].vpn;
+    for (const auto &page : data.pages) {
+        TokenWriter writer;
+        visitPageFields(page, writer);
+        record("page " + writer.text);
+    }
+
+    // Warm lists as "a:b" pairs, WarmBatch per record.
+    auto warmRecords = [&](const char *type, size_t count, auto pair) {
+        for (size_t i = 0; i < count; i += WarmBatch) {
+            std::string text = std::string(type) + " v=";
+            for (size_t j = i; j < std::min(i + WarmBatch, count); ++j)
+                text += (j > i ? "," : "") + pair(j);
+            record(text);
         }
-        record(wp.str());
-    }
+    };
+    warmRecords("wp", data.warmPages.size(), [&](size_t j) {
+        const WarmPage &page = data.warmPages[j];
+        return std::to_string(page.asn) + ':' + std::to_string(page.vpn);
+    });
+    warmRecords("wl", data.warmLines.size(), [&](size_t j) {
+        const WarmLine &line = data.warmLines[j];
+        unsigned flags = (line.data ? 1u : 0u) | (line.fetch ? 2u : 0u) |
+                         (line.dirty ? 4u : 0u);
+        return std::to_string(line.grain) + ':' + std::to_string(flags);
+    });
 
-    for (size_t i = 0; i < data.warmLines.size(); i += WarmBatch) {
-        std::ostringstream wl;
-        wl << "wl v=";
-        for (size_t j = i; j < std::min(i + WarmBatch,
-                                        data.warmLines.size()); ++j) {
-            const WarmLine &line = data.warmLines[j];
-            unsigned flags = (line.data ? 1u : 0u) |
-                             (line.fetch ? 2u : 0u) |
-                             (line.dirty ? 4u : 0u);
-            if (j > i)
-                wl << ',';
-            wl << line.grain << ':' << flags;
-        }
-        record(wl.str());
-    }
-
-    emitRecord(os, "end records=" + std::to_string(records));
+    os << frameRecord("end records=" + std::to_string(records)) << '\n';
 
     // Whole-file temp + rename: a reader never observes a partial
     // checkpoint, and a crash mid-write leaves the old file intact.
@@ -385,28 +235,17 @@ parseWarmList(const TokenMap &kv, const char *what, std::string *why,
         return false;
     }
     const std::string &text = it->second;
-    size_t pos = 0;
-    while (pos < text.size()) {
-        char *end = nullptr;
-        uint64_t a = std::strtoull(text.c_str() + pos, &end, 10);
-        if (end == text.c_str() + pos || *end != ':') {
+    for (size_t pos = 0; pos < text.size();) {
+        size_t end = std::min(text.find(',', pos), text.size());
+        size_t colon = text.find(':', pos);
+        uint64_t a = 0, b = 0;
+        if (colon >= end || !parseUint(text.substr(pos, colon - pos), &a) ||
+            !parseUint(text.substr(colon + 1, end - colon - 1), &b) ||
+            !add(a, b)) {
             *why = std::string("malformed ") + what + " entry";
             return false;
         }
-        pos = size_t(end - text.c_str()) + 1;
-        uint64_t b = std::strtoull(text.c_str() + pos, &end, 10);
-        if (end == text.c_str() + pos || !add(a, b)) {
-            *why = std::string("malformed ") + what + " entry";
-            return false;
-        }
-        pos = size_t(end - text.c_str());
-        if (pos < text.size()) {
-            if (text[pos] != ',') {
-                *why = std::string("malformed ") + what + " entry";
-                return false;
-            }
-            ++pos;
-        }
+        pos = end + 1;
     }
     return true;
 }
@@ -427,24 +266,9 @@ loadCheckpoint(const std::string &path, CheckpointData *data,
                     ": " + why);
     };
 
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return fail("cannot open '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string content = buffer.str();
-
     std::vector<std::string> lines;
-    size_t pos = 0;
-    while (pos < content.size()) {
-        size_t nl = content.find('\n', pos);
-        if (nl == std::string::npos) {
-            lines.push_back(content.substr(pos));
-            break;
-        }
-        lines.push_back(content.substr(pos, nl - pos));
-        pos = nl + 1;
-    }
+    if (!readRecordFile(path, &lines, error))
+        return false;
 
     if (lines.empty() || lines[0] != CheckpointHeader)
         return fail("'" + path + "' is not a " + CheckpointHeader +
@@ -459,11 +283,9 @@ loadCheckpoint(const std::string &path, CheckpointData *data,
         const std::string &line = lines[i];
         if (haveEnd)
             return failLine(i, "record after end trailer");
-        if (line.size() < 18 || line[16] != ' ')
-            return failLine(i, "truncated record");
-        std::string payload = line.substr(17);
-        if (hex64(fnv1a64(payload)) != line.substr(0, 16))
-            return failLine(i, "record checksum mismatch");
+        std::string payload, why;
+        if (!unframeRecord(line, &payload, &why))
+            return failLine(i, why);
 
         size_t sp = payload.find(' ');
         std::string type = payload.substr(0, sp);
@@ -472,10 +294,11 @@ loadCheckpoint(const std::string &path, CheckpointData *data,
             !splitTokens(payload.substr(sp + 1), &kv))
             return failLine(i, "malformed record");
 
-        std::string why;
+        TokenReader reader{kv};
         if (type == "end") {
             uint64_t expected = 0;
-            if (!getU64(kv, "records", &expected))
+            reader("records", expected);
+            if (!reader.ok)
                 return failLine(i, "malformed end trailer");
             if (expected != records)
                 return failLine(i, "end trailer expects " +
@@ -490,12 +313,13 @@ loadCheckpoint(const std::string &path, CheckpointData *data,
         if (!haveMeta) {
             if (type != "meta")
                 return failLine(i, "first record is not meta");
-            if (!getU64(kv, "ffwd", &d.ffwdTotal) ||
-                !getU64(kv, "frames", &d.framesNext) ||
-                !getU64(kv, "procs", &metaProcs) ||
-                !getU64(kv, "pages", &metaPages) ||
-                !getU64(kv, "wpages", &metaWp) ||
-                !getU64(kv, "wlines", &metaWl))
+            reader("ffwd", d.ffwdTotal);
+            reader("frames", d.framesNext);
+            reader("procs", metaProcs);
+            reader("pages", metaPages);
+            reader("wpages", metaWp);
+            reader("wlines", metaWl);
+            if (!reader.ok)
                 return failLine(i, "missing or malformed meta field");
             haveMeta = true;
             continue;
@@ -507,15 +331,9 @@ loadCheckpoint(const std::string &path, CheckpointData *data,
                 return failLine(i, why);
             d.procs.push_back(std::move(p));
         } else if (type == "page") {
-            uint64_t ppn = 0;
-            std::string hexData;
-            std::vector<uint8_t> bytes;
-            if (!getU64(kv, "ppn", &ppn) ||
-                !getString(kv, "data", &hexData) ||
-                !parseHexBytes(hexData, &bytes) ||
-                bytes.size() > PageBytes)
+            visitPageFields(d.pages.emplace_back(), reader);
+            if (!reader.ok || d.pages.back().second.size() > PageBytes)
                 return failLine(i, "missing or malformed page field");
-            d.pages.emplace_back(ppn, std::move(bytes));
         } else if (type == "wp") {
             bool ok = parseWarmList(kv, "warm-page", &why,
                                     [&](uint64_t a, uint64_t b) {

@@ -10,11 +10,13 @@
  * allocator's high-water mark, and the warm-state trace (TLB pages
  * and cache-line grains, in LRU order) recorded during fast-forward.
  *
- * On-disk format (`zmt-checkpoint-v1`) follows the campaign journal's
- * conventions (sim/campaign.cc): a header line, then one record per
+ * On-disk format (`zmt-checkpoint-v1`) shares the campaign journal's
+ * framing (common/fieldcodec.hh): a header line, then one record per
  * line as `<16-hex-char fnv1a64> <payload>` where the checksum covers
  * the payload; payloads are whitespace-separated key=value tokens
- * with percent-encoded strings (common/fieldcodec.hh). Unlike the
+ * with percent-encoded strings. Each process's workload is stored as
+ * its canonicalKey() and read back with parseWorkloadKey
+ * (wload/workload.hh). Unlike the
  * journal — an append-only log where a torn *final* line just means a
  * crash mid-append — a checkpoint is written whole via temp+rename,
  * so loading is strict: any malformed line, count mismatch, or
@@ -98,14 +100,6 @@ bool loadCheckpoint(const std::string &path, CheckpointData *data,
  */
 void applyWarmState(SmtCore &core, const std::vector<WarmPage> &pages,
                     const std::vector<WarmLine> &lines);
-
-/**
- * Parse a WorkloadParams canonical serialization (the exact format
- * canonicalKey(WorkloadParams) emits). @return false with @p why set
- * on unknown keys, malformed values, or missing fields.
- */
-bool parseWorkloadKey(const std::string &text, WorkloadParams *wp,
-                      std::string *why);
 
 } // namespace zmt
 

@@ -5,6 +5,8 @@
 #include <iostream>
 #include <malloc.h>
 #include <map>
+#include <tuple>
+#include <utility>
 
 #include "common/logging.hh"
 #include "kernel/funcmachine.hh"
@@ -37,18 +39,60 @@ tuneAllocatorOnce()
     (void)done;
 }
 
+/** Cache lines one cache may hold (16M: a few hundred MB of tags). */
+constexpr uint64_t MaxCacheLines = uint64_t(1) << 24;
+
 /**
- * Reject values the core cannot make progress under, naming the key:
- * a run with no window slot or no load/store port would otherwise
- * stop only at the livelock watchdog.
+ * Reject, naming the key, values the machine cannot be built or make
+ * progress under: with no window slot or no unit of some functional
+ * class the core stops only at the livelock watchdog, and a zero or
+ * oversized cache or predictor shape would divide by zero, shift past
+ * its index width or exhaust memory while the tables are allocated.
  */
 void
 checkParams(const SimParams &params)
 {
-    fatal_if(params.core.windowSize == 0,
-             "core.windowSize must be at least 1");
-    fatal_if(params.core.lsPortCount == 0,
-             "core.lsPortCount must be at least 1");
+    const CoreParams &core = params.core;
+    for (auto [key, value] :
+         {std::pair{"core.windowSize", core.windowSize},
+          {"core.intAluCount", core.intAluCount},
+          {"core.intMulCount", core.intMulCount},
+          {"core.fpAddCount", core.fpAddCount},
+          {"core.fpDivCount", core.fpDivCount},
+          {"core.lsPortCount", core.lsPortCount}})
+        fatal_if(value == 0, "%s must be at least 1", key);
+
+    // Cache(): sets = size / lineBytes / assoc, a nonzero power of two.
+    const MemParams &mem = params.mem;
+    for (auto [name, sizeKb, assoc, lineBytes] :
+         {std::tuple{"l1i", mem.l1iSizeKb, mem.l1iAssoc, mem.l1iLineBytes},
+          {"l1d", mem.l1dSizeKb, mem.l1dAssoc, mem.l1dLineBytes},
+          {"l2", mem.l2SizeKb, mem.l2Assoc, mem.l2LineBytes}}) {
+        uint64_t sets = assoc && lineBytes
+                            ? uint64_t(sizeKb) * 1024 / lineBytes / assoc
+                            : 0;
+        fatal_if(sets == 0 || (sets & (sets - 1)) != 0 ||
+                     sets * assoc > MaxCacheLines,
+                 "mem.%sSizeKb, mem.%sAssoc and mem.%sLineBytes must give "
+                 "a power-of-two number of sets and at most %llu lines "
+                 "(%u KB, %u-way, %u B lines)",
+                 name, name, name, (unsigned long long)MaxCacheLines,
+                 sizeKb, assoc, lineBytes);
+    }
+
+    // BranchPredictor: tables of 2^bits entries indexed through 32-bit
+    // masks, 8-bit YAGS tags, a 16-bit RAS top-of-stack.
+    const BpredParams &bpred = params.bpred;
+    for (auto [key, value, max] :
+         {std::tuple{"bpred.yagsChoiceBits", bpred.yagsChoiceBits, 24u},
+          {"bpred.yagsExcBits", bpred.yagsExcBits, 24u},
+          {"bpred.yagsTagBits", bpred.yagsTagBits, 8u},
+          {"bpred.indirectBtbBits", bpred.indirectBtbBits, 24u},
+          {"bpred.indirectExcBits", bpred.indirectExcBits, 24u},
+          {"bpred.historyBits", bpred.historyBits, 31u}})
+        fatal_if(value > max, "%s must be at most %u", key, max);
+    fatal_if(bpred.rasEntries == 0 || bpred.rasEntries > 65536,
+             "bpred.rasEntries must be in [1, 65536]");
 }
 
 } // anonymous namespace

@@ -1,6 +1,7 @@
 #include "sim/sweep.hh"
 
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <ostream>
@@ -55,27 +56,30 @@ SweepRunner::parallelFor(size_t count,
         thread.join();
 }
 
+const char *
+flagValue(int &i, int argc, char **argv, const char *name)
+{
+    const size_t n = std::strlen(name);
+    if (std::strncmp(argv[i], name, n) != 0)
+        return nullptr;
+    if (argv[i][n] == '=')
+        return argv[i] + n + 1;
+    if (argv[i][n] != '\0')
+        return nullptr;
+    fatal_if(i + 1 >= argc, "%s needs a value", name);
+    return argv[++i];
+}
+
 unsigned
 parseJobsFlag(int &argc, char **argv, unsigned fallback)
 {
     unsigned jobs = fallback;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            value = arg + 7;
-        } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-            value = argv[++i];
-        } else {
+        if (const char *value = flagValue(i, argc, argv, "--jobs"))
+            jobs = unsigned(parseUnsigned("--jobs", value, 0, UINT_MAX));
+        else
             argv[out++] = argv[i];
-            continue;
-        }
-        char *end = nullptr;
-        unsigned long v = std::strtoul(value, &end, 10);
-        fatal_if(end == value || *end != '\0',
-                 "bad --jobs value '%s'", value);
-        jobs = unsigned(v);
     }
     argv[out] = nullptr;
     argc = out;

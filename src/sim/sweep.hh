@@ -85,6 +85,14 @@ class SweepRunner
 };
 
 /**
+ * The value of flag @p name at argv[i], spelled "--name VALUE"
+ * (advancing i past the value) or "--name=VALUE"; nullptr when
+ * argv[i] is another argument. Fatal when the flag ends argv without
+ * a value. Every command-line tool spells its flags this way.
+ */
+const char *flagValue(int &i, int argc, char **argv, const char *name);
+
+/**
  * Parse a "--jobs N" / "--jobs=N" flag out of argv (compacting argc),
  * returning @p fallback when absent. Shared by zmt_bench and the
  * standalone tools so every sweep consumer spells parallelism the
@@ -105,8 +113,11 @@ unsigned parseJobsFlag(int &argc, char **argv, unsigned fallback = 0);
  *     "params": {dotted-name: value} }
  *
  * "params" carries the exact configuration via
- * SimParams::forEachParam, so a cell can be re-run bit-identically
- * from the file alone. The submission "index" lets shard/resume
+ * SimParams::forEachParam; SimParams::set accepts every pair, so
+ * replaying them in order (zmt_sim key=value... bench...) re-runs a
+ * cell bit-identically from the file alone. Explicit workloads appear
+ * by name; canonicalKey()/parseWorkloadKey() (wload/workload.hh) hold
+ * their full definition. The submission "index" lets shard/resume
  * outputs merge back into submission order (tools/sweep_merge).
  * @p failureJson is "null" for a clean run or a structured object
  * from the campaign layer (sim/campaign.hh) for a cell whose isolated

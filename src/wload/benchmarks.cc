@@ -10,8 +10,9 @@
 
 #include "wload/workload.hh"
 
-#include <sstream>
+#include <map>
 
+#include "common/fieldcodec.hh"
 #include "common/logging.hh"
 
 namespace zmt
@@ -204,35 +205,115 @@ shortName(const std::string &bench)
     return bench;
 }
 
-std::string
-canonicalKey(const WorkloadParams &p)
+namespace
 {
-    std::ostringstream os;
-    os << "name=" << p.name << ";farLoadsPerOuter=" << p.farLoadsPerOuter
-       << ";innerIters=" << p.innerIters
-       << ";farPagesLog2=" << p.farPagesLog2
-       << ";hotBytesLog2=" << p.hotBytesLog2
-       << ";aluChains=" << p.aluChains
-       << ";aluOpsPerChain=" << p.aluOpsPerChain
-       << ";fpChains=" << p.fpChains
-       << ";fpOpsPerChain=" << p.fpOpsPerChain
-       << ";useFpDiv=" << p.useFpDiv << ";fsqrtOps=" << p.fsqrtOps
-       << ";serialMuls=" << p.serialMuls << ";hotLoads=" << p.hotLoads
-       << ";hotStores=" << p.hotStores << ";chaseLoads=" << p.chaseLoads
-       << ";farFeedsChase=" << p.farFeedsChase
-       << ";randomBranches=" << p.randomBranches
-       << ";indirectFarJumps=" << p.indirectFarJumps
-       << ";ifjFarMask=" << p.ifjFarMask << ";seed=" << p.seed
-       << ";textBase=" << p.textBase << ";hotBase=" << p.hotBase
-       << ";farBase=" << p.farBase
-       << ";sharedGroup=" << p.sharedGroup
-       << ";sharedBytesLog2=" << p.sharedBytesLog2
-       << ";sharedStores=" << p.sharedStores
-       << ";sharedLoads=" << p.sharedLoads
-       << ";sliceIndex=" << p.sliceIndex
-       << ";sliceCount=" << p.sliceCount
-       << ";sharedBase=" << p.sharedBase << ";";
-    return os.str();
+
+/**
+ * The one list of WorkloadParams fields, as (key, member), in the
+ * order canonicalKey emits them; parseWorkloadKey reads the same list.
+ * Every field that affects the generated program belongs here.
+ */
+template <class Workload, class Visit>
+void
+visitWorkloadFields(Workload &w, Visit &&visit)
+{
+    visit("name", w.name);
+    visit("farLoadsPerOuter", w.farLoadsPerOuter);
+    visit("innerIters", w.innerIters);
+    visit("farPagesLog2", w.farPagesLog2);
+    visit("hotBytesLog2", w.hotBytesLog2);
+    visit("aluChains", w.aluChains);
+    visit("aluOpsPerChain", w.aluOpsPerChain);
+    visit("fpChains", w.fpChains);
+    visit("fpOpsPerChain", w.fpOpsPerChain);
+    visit("useFpDiv", w.useFpDiv);
+    visit("fsqrtOps", w.fsqrtOps);
+    visit("serialMuls", w.serialMuls);
+    visit("hotLoads", w.hotLoads);
+    visit("hotStores", w.hotStores);
+    visit("chaseLoads", w.chaseLoads);
+    visit("farFeedsChase", w.farFeedsChase);
+    visit("randomBranches", w.randomBranches);
+    visit("indirectFarJumps", w.indirectFarJumps);
+    visit("ifjFarMask", w.ifjFarMask);
+    visit("seed", w.seed);
+    visit("textBase", w.textBase);
+    visit("hotBase", w.hotBase);
+    visit("farBase", w.farBase);
+    visit("sharedGroup", w.sharedGroup);
+    visit("sharedBytesLog2", w.sharedBytesLog2);
+    visit("sharedStores", w.sharedStores);
+    visit("sharedLoads", w.sharedLoads);
+    visit("sliceIndex", w.sliceIndex);
+    visit("sliceCount", w.sliceCount);
+    visit("sharedBase", w.sharedBase);
+}
+
+} // anonymous namespace
+
+std::string
+canonicalKey(const WorkloadParams &params)
+{
+    std::string key;
+    visitWorkloadFields(params, [&](const char *name, const auto &field) {
+        key += name;
+        key += '=';
+        key += fieldcodec::formatValue(field);
+        key += ';';
+    });
+    return key;
+}
+
+bool
+parseWorkloadKey(const std::string &text, WorkloadParams *wp,
+                 std::string *why)
+{
+    std::map<std::string, std::string> values;
+    for (size_t pos = 0; pos < text.size();) {
+        size_t semi = text.find(';', pos);
+        if (semi == std::string::npos) {
+            *why = "workload key not ';'-terminated";
+            return false;
+        }
+        std::string entry = text.substr(pos, semi - pos);
+        pos = semi + 1;
+        size_t eq = entry.find('=');
+        if (eq == std::string::npos) {
+            *why = "malformed workload field '" + entry + "'";
+            return false;
+        }
+        if (!values.emplace(entry.substr(0, eq), entry.substr(eq + 1))
+                 .second) {
+            *why = "duplicate workload field '" + entry.substr(0, eq) + "'";
+            return false;
+        }
+    }
+
+    // Every listed field exactly once: consume each, then anything
+    // left over is a key the list does not know.
+    WorkloadParams w;
+    std::string error;
+    visitWorkloadFields(w, [&](const char *name, auto &field) {
+        auto it = values.find(name);
+        if (!error.empty())
+            return;
+        if (it == values.end())
+            error = std::string("workload key is missing field '") + name +
+                    "'";
+        else if (!fieldcodec::parseValue(it->second, &field))
+            error = std::string("malformed workload value '") + name +
+                    "=" + it->second + "'";
+        else
+            values.erase(it);
+    });
+    if (error.empty() && !values.empty())
+        error = "unknown workload field '" + values.begin()->first + "'";
+    if (!error.empty()) {
+        *why = error;
+        return false;
+    }
+    *wp = std::move(w);
+    return true;
 }
 
 } // namespace zmt

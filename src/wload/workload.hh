@@ -122,6 +122,15 @@ std::string shortName(const std::string &bench);
  */
 std::string canonicalKey(const WorkloadParams &params);
 
+/**
+ * Parse a canonicalKey() string back into a workload. Both read one
+ * field list (benchmarks.cc), and every field must appear exactly
+ * once. @return false with @p why set on unknown, duplicate or missing
+ * fields and malformed values.
+ */
+bool parseWorkloadKey(const std::string &text, WorkloadParams *wp,
+                      std::string *why);
+
 } // namespace zmt
 
 #endif // ZMT_WLOAD_WORKLOAD_HH

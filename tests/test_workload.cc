@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <utility>
 
+#include "common/hash.hh"
+#include "common/random.hh"
 #include "kernel/funcmachine.hh"
 #include "wload/workload.hh"
 
@@ -178,6 +182,130 @@ TEST(Workload, ValidationRejectsBadParams)
     overlap.hotBytesLog2 = 26; // hot region would swallow the far base
     EXPECT_EXIT(buildWorkload(overlap), ::testing::ExitedWithCode(1),
                 "overlap");
+}
+
+// ---------------------------------------------------------------------
+// The workload key: canonicalKey() and parseWorkloadKey() read one field
+// list. Checkpoints store each process's workload this way, and the
+// sweep caches and journal keys hash it.
+// ---------------------------------------------------------------------
+
+std::vector<WorkloadParams>
+allPresets()
+{
+    std::vector<WorkloadParams> presets{WorkloadParams()};
+    for (const std::string &name : benchmarkNames())
+        presets.push_back(benchmarkParams(name));
+    presets.push_back(benchmarkParams("racetest"));
+    return presets;
+}
+
+// Journal keys and checkpoints carry these bytes; a refactor of the
+// field list must leave the hashes alone.
+TEST(WorkloadKey, PresetKeysArePinned)
+{
+    const std::pair<const char *, const char *> pinned[] = {
+        {"custom", "f29bf3853b88d551"},
+        {"alphadoom", "64121842baa557a3"},
+        {"applu", "b6a9b2b0816422f6"},
+        {"compress", "edd3b2ca3491638e"},
+        {"deltablue", "ec568fad79979b13"},
+        {"gcc", "6d5e48d6ef38d45a"},
+        {"hydro2d", "b62f86d9b3993e68"},
+        {"murphi", "c7ca3cf117966cc0"},
+        {"vortex", "62c0440be801e3d2"},
+        {"racetest", "a0d95b47dcdfbbfc"},
+    };
+    std::vector<WorkloadParams> presets = allPresets();
+    ASSERT_EQ(presets.size(), std::size(pinned));
+    for (size_t i = 0; i < presets.size(); ++i) {
+        EXPECT_EQ(presets[i].name, pinned[i].first);
+        EXPECT_EQ(hex64(fnv1a64(canonicalKey(presets[i]))),
+                  pinned[i].second)
+            << pinned[i].first;
+    }
+}
+
+TEST(WorkloadKey, EveryPresetRoundTrips)
+{
+    for (const WorkloadParams &preset : allPresets()) {
+        WorkloadParams parsed;
+        parsed.name = "overwritten";
+        std::string why;
+        ASSERT_TRUE(parseWorkloadKey(canonicalKey(preset), &parsed, &why))
+            << preset.name << ": " << why;
+        EXPECT_EQ(canonicalKey(parsed), canonicalKey(preset));
+    }
+}
+
+/** The key's ';'-terminated "field=value" entries. */
+std::vector<std::string>
+keyEntries(const std::string &key)
+{
+    std::vector<std::string> entries;
+    for (size_t pos = 0; pos < key.size();) {
+        size_t semi = key.find(';', pos);
+        entries.push_back(key.substr(pos, semi + 1 - pos));
+        pos = semi + 1;
+    }
+    return entries;
+}
+
+/** Parse @p text; on success the result must re-serialize to a key
+ *  that parses back to itself. @return whether it parsed. */
+bool
+parsesConsistently(const std::string &text)
+{
+    WorkloadParams parsed;
+    std::string why;
+    if (!parseWorkloadKey(text, &parsed, &why)) {
+        EXPECT_FALSE(why.empty()) << "rejected without a reason";
+        return false;
+    }
+    const std::string key = canonicalKey(parsed);
+    WorkloadParams again;
+    EXPECT_TRUE(parseWorkloadKey(key, &again, &why)) << why;
+    EXPECT_EQ(canonicalKey(again), key);
+    return true;
+}
+
+// Seeded mutations of every preset's key: truncations, duplicated and
+// missing fields are always rejected with a reason; a flipped byte is
+// either rejected or still describes a workload that round-trips. No
+// mutant may crash the parser.
+TEST(WorkloadKey, MutatedKeysAreRejectedOrRoundTrip)
+{
+    Rng rng(0x5eed);
+    for (const WorkloadParams &preset : allPresets()) {
+        const std::string key = canonicalKey(preset);
+        const std::vector<std::string> entries = keyEntries(key);
+        ASSERT_EQ(entries.size(), 30u);
+
+        for (size_t len = 0; len < key.size(); ++len)
+            EXPECT_FALSE(parsesConsistently(key.substr(0, len)))
+                << "truncated to " << len;
+
+        for (size_t i = 0; i < entries.size(); ++i) {
+            const size_t copyAt = rng.below(entries.size() + 1);
+            std::string missing, duplicated;
+            for (size_t j = 0; j <= entries.size(); ++j) {
+                if (j == copyAt)
+                    duplicated += entries[i];
+                if (j < entries.size()) {
+                    missing += i == j ? "" : entries[j];
+                    duplicated += entries[j];
+                }
+            }
+            EXPECT_FALSE(parsesConsistently(missing)) << entries[i];
+            EXPECT_FALSE(parsesConsistently(duplicated)) << entries[i];
+        }
+
+        for (int flip = 0; flip < 400; ++flip) {
+            std::string mutant = key;
+            mutant[rng.below(mutant.size())] = char(rng.below(256));
+            parsesConsistently(mutant);
+        }
+    }
 }
 
 } // anonymous namespace

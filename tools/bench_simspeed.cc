@@ -26,6 +26,7 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -36,6 +37,7 @@
 #include "kernel/ffwd.hh"
 #include "kernel/funcmachine.hh"
 #include "sim/simulator.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -124,22 +126,13 @@ main(int argc, char **argv)
     bool idle_skip = true;
 
     for (int i = 1; i < argc; ++i) {
-        auto value = [&](const char *flag) -> const char * {
-            size_t len = std::strlen(flag);
-            if (std::strncmp(argv[i], flag, len) == 0 &&
-                argv[i][len] == '=')
-                return argv[i] + len + 1;
-            if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc)
-                return argv[++i];
-            return nullptr;
-        };
-        if (const char *v = value("--insts")) {
-            insts = std::strtoull(v, nullptr, 0);
-        } else if (const char *v = value("--repeat")) {
-            repeat = unsigned(std::strtoul(v, nullptr, 0));
-        } else if (const char *v = value("--bench")) {
+        if (const char *v = flagValue(i, argc, argv, "--insts")) {
+            insts = parseUnsigned("--insts", v, 1);
+        } else if (const char *v = flagValue(i, argc, argv, "--repeat")) {
+            repeat = unsigned(parseUnsigned("--repeat", v, 1, UINT_MAX));
+        } else if (const char *v = flagValue(i, argc, argv, "--bench")) {
             bench = v;
-        } else if (const char *v = value("--json")) {
+        } else if (const char *v = flagValue(i, argc, argv, "--json")) {
             json_path = v;
         } else if (std::strcmp(argv[i], "--no-json") == 0) {
             emit_json = false;
@@ -153,8 +146,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    fatal_if(repeat == 0, "--repeat must be >= 1");
-
     std::vector<SpeedResult> results;
     std::printf("%-18s %10s %12s %10s %8s\n", "config", "KIPS",
                 "wall (best)", "cycles", "ipc");

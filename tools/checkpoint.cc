@@ -14,12 +14,12 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/hash.hh"
 #include "sim/simulator.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -46,19 +46,10 @@ cmdCreate(int argc, char **argv)
 
     for (int i = 0; i < argc; ++i) {
         std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            size_t len = std::strlen(flag);
-            if (arg.rfind(flag, 0) == 0 && arg.size() > len &&
-                arg[len] == '=')
-                return argv[i] + len + 1;
-            if (arg == flag && i + 1 < argc)
-                return argv[++i];
-            return nullptr;
-        };
-        if (const char *v = value("--out")) {
+        if (const char *v = flagValue(i, argc, argv, "--out")) {
             out = v;
-        } else if (const char *v = value("--insts")) {
-            params.ffwd.insts = std::strtoull(v, nullptr, 0);
+        } else if (const char *v = flagValue(i, argc, argv, "--insts")) {
+            params.ffwd.insts = parseUnsigned("--insts", v, 1);
         } else if (arg.find('=') != std::string::npos) {
             params.setKeyValue(arg);
         } else {

@@ -34,12 +34,15 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
 #include <vector>
 
+#include "common/fieldcodec.hh"
 #include "common/random.hh"
 #include "sim/simulator.hh"
 #include "common/json.hh"
@@ -174,29 +177,6 @@ struct Coverage
     }
 };
 
-uint64_t
-parseArg(const char *arg, const char *key, uint64_t fallback, bool *found)
-{
-    std::string s(arg);
-    std::string prefix = std::string(key) + "=";
-    if (s.rfind(prefix, 0) != 0)
-        return fallback;
-    *found = true;
-    return std::strtoull(s.c_str() + prefix.size(), nullptr, 0);
-}
-
-std::string
-parseStrArg(const char *arg, const char *key, std::string fallback,
-            bool *found)
-{
-    std::string s(arg);
-    std::string prefix = std::string(key) + "=";
-    if (s.rfind(prefix, 0) != 0)
-        return fallback;
-    *found = true;
-    return s.substr(prefix.size());
-}
-
 /** Everything one run produces; filled by a worker thread, consumed
  *  by the in-order reporting loop on the main thread. */
 struct RunOutcome
@@ -213,73 +193,41 @@ struct RunOutcome
     double handlerSquashes = 0;
 };
 
-/**
- * Line-based RunOutcome serialization for the isolate-mode result
- * pipe. desc/why are single-line by construction (snprintf / one-line
- * diff summaries), so "key=rest-of-line" is unambiguous; the stat
- * doubles use hexfloat for an exact round trip.
- */
+/** RunOutcome's tokens for the isolate-mode result pipe. */
+template <class Outcome, class Visit>
+void
+visitOutcomeFields(Outcome &out, Visit &visit)
+{
+    visit("failed", out.failed);
+    visit("cycles", out.cycles);
+    visit("misses", out.misses);
+    visit("hardReverts", out.hardReverts);
+    visit("deadlockSquashes", out.deadlockSquashes);
+    visit("relinks", out.relinks);
+    visit("mtFallbacks", out.mtFallbacks);
+    visit("handlerSquashes", out.handlerSquashes);
+    visit("desc", out.desc);
+    visit("why", out.why);
+}
+
 std::string
 serializeOutcome(const RunOutcome &out)
 {
-    std::ostringstream os;
-    os << "failed=" << (out.failed ? 1 : 0) << "\ncycles=" << out.cycles
-       << "\nmisses=" << out.misses;
-    char buf[64];
-    auto hexDouble = [&](const char *key, double v) {
-        std::snprintf(buf, sizeof buf, "%a", v);
-        os << "\n" << key << "=" << buf;
-    };
-    hexDouble("hardReverts", out.hardReverts);
-    hexDouble("deadlockSquashes", out.deadlockSquashes);
-    hexDouble("relinks", out.relinks);
-    hexDouble("mtFallbacks", out.mtFallbacks);
-    hexDouble("handlerSquashes", out.handlerSquashes);
-    os << "\ndesc=" << out.desc << "\nwhy=" << out.why << "\n";
-    return os.str();
+    fieldcodec::TokenWriter writer;
+    visitOutcomeFields(out, writer);
+    return writer.text;
 }
 
 bool
 parseOutcome(const std::string &text, RunOutcome *out)
 {
+    fieldcodec::TokenMap kv;
+    if (!fieldcodec::splitTokens(text, &kv))
+        return false;
     RunOutcome r;
-    unsigned seen = 0;
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t nl = text.find('\n', pos);
-        size_t end = nl == std::string::npos ? text.size() : nl;
-        std::string line = text.substr(pos, end - pos);
-        pos = end + 1;
-        size_t eq = line.find('=');
-        if (eq == std::string::npos)
-            return false;
-        std::string key = line.substr(0, eq);
-        std::string value = line.substr(eq + 1);
-        ++seen;
-        if (key == "failed")
-            r.failed = value == "1";
-        else if (key == "cycles")
-            r.cycles = std::strtoull(value.c_str(), nullptr, 10);
-        else if (key == "misses")
-            r.misses = std::strtoull(value.c_str(), nullptr, 10);
-        else if (key == "hardReverts")
-            r.hardReverts = std::strtod(value.c_str(), nullptr);
-        else if (key == "deadlockSquashes")
-            r.deadlockSquashes = std::strtod(value.c_str(), nullptr);
-        else if (key == "relinks")
-            r.relinks = std::strtod(value.c_str(), nullptr);
-        else if (key == "mtFallbacks")
-            r.mtFallbacks = std::strtod(value.c_str(), nullptr);
-        else if (key == "handlerSquashes")
-            r.handlerSquashes = std::strtod(value.c_str(), nullptr);
-        else if (key == "desc")
-            r.desc = value;
-        else if (key == "why")
-            r.why = value;
-        else
-            --seen;
-    }
-    if (seen < 10)
+    fieldcodec::TokenReader reader{kv};
+    visitOutcomeFields(r, reader);
+    if (!reader.ok)
         return false;
     *out = std::move(r);
     return true;
@@ -290,49 +238,50 @@ parseOutcome(const std::string &text, RunOutcome *out)
 int
 main(int argc, char **argv)
 {
-    uint64_t runs = 200, sweep_seed = 1, base_insts = 8000;
-    uint64_t require_coverage = 1, verbose = 0, jobs = 0, isolate = 0;
-    int64_t only = -1;
-    std::string json_path, timeout_text;
-
+    auto usage = [] {
+        std::fprintf(stderr,
+                     "usage: torture [runs=N] [seed=N] [insts=N] "
+                     "[only=N] [require_coverage=0|1] [verbose=0|1] "
+                     "[jobs=N] [json=PATH] [isolate=0|1] "
+                     "[timeout=SECONDS]\n");
+        return 2;
+    };
+    std::map<std::string, std::string> args;
     for (int i = 1; i < argc; ++i) {
-        bool ok = false;
-        runs = parseArg(argv[i], "runs", runs, &ok);
-        sweep_seed = parseArg(argv[i], "seed", sweep_seed, &ok);
-        base_insts = parseArg(argv[i], "insts", base_insts, &ok);
-        require_coverage =
-            parseArg(argv[i], "require_coverage", require_coverage, &ok);
-        verbose = parseArg(argv[i], "verbose", verbose, &ok);
-        jobs = parseArg(argv[i], "jobs", jobs, &ok);
-        isolate = parseArg(argv[i], "isolate", isolate, &ok);
-        json_path = parseStrArg(argv[i], "json", json_path, &ok);
-        timeout_text =
-            parseStrArg(argv[i], "timeout", timeout_text, &ok);
-        bool only_set = false;
-        uint64_t o = parseArg(argv[i], "only", 0, &only_set);
-        if (only_set) {
-            only = int64_t(o);
-            ok = true;
-        }
-        if (!ok) {
-            std::fprintf(stderr,
-                         "usage: torture [runs=N] [seed=N] [insts=N] "
-                         "[only=N] [require_coverage=0|1] [verbose=0|1] "
-                         "[jobs=N] [json=PATH] [isolate=0|1] "
-                         "[timeout=SECONDS]\n");
-            return 2;
-        }
+        const char *text = argv[i], *eq = std::strchr(text, '=');
+        if (!eq)
+            return usage();
+        args[std::string(text, eq)] = eq + 1;
     }
+    // Each known key is taken out of args; anything left is unknown.
+    auto arg = [&](const char *key, const char *fallback) {
+        auto it = args.find(key);
+        std::string value = it == args.end() ? fallback : it->second;
+        if (it != args.end())
+            args.erase(it);
+        return value;
+    };
+    auto num = [&](const char *key, const char *fallback, uint64_t min = 0) {
+        return parseUnsigned(key, arg(key, fallback), min);
+    };
+    const uint64_t runs = num("runs", "200"), sweep_seed = num("seed", "1");
+    // makeConfig draws each run's length with Rng::below(insts).
+    const uint64_t base_insts = num("insts", "8000", 1);
+    const uint64_t require_coverage = num("require_coverage", "1");
+    const uint64_t verbose = num("verbose", "0"), jobs = num("jobs", "0");
+    const uint64_t isolate = num("isolate", "0");
+    const std::string json_path = arg("json", "");
+    const std::string timeout_text = arg("timeout", "");
+    int64_t only = -1; // negative: every run
     double timeout_s = 0.0;
-    if (!timeout_text.empty()) {
-        char *end = nullptr;
-        timeout_s = std::strtod(timeout_text.c_str(), &end);
-        if (end == timeout_text.c_str() || *end != '\0' ||
-            !(timeout_s > 0.0)) {
-            std::fprintf(stderr, "bad timeout value '%s'\n",
-                         timeout_text.c_str());
-            return 2;
-        }
+    if (!fieldcodec::parseValue(arg("only", "-1"), &only) || !args.empty())
+        return usage();
+    if (!timeout_text.empty() &&
+        (!fieldcodec::parseValue(timeout_text, &timeout_s) ||
+         !(timeout_s > 0.0))) {
+        std::fprintf(stderr, "bad timeout value '%s'\n",
+                     timeout_text.c_str());
+        return 2;
     }
     // A wall-clock budget is only enforceable on a killable child.
     const bool isolate_runs = isolate != 0 || timeout_s > 0.0;
