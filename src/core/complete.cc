@@ -21,8 +21,7 @@ namespace zmt
 void
 SmtCore::doComplete()
 {
-    while (completionQueue.nextAt() <= curCycle) {
-        InstPtr inst = completionQueue.pop();
+    while (InstPtr inst = completionQueue.popDue(curCycle)) {
         if (inst->squashed())
             continue;
         completeInst(inst);
@@ -37,9 +36,12 @@ SmtCore::completeInst(const InstPtr &inst)
     inst->status = InstStatus::Done;
     obsEmit(obs::EventKind::Completed, *inst);
 
+    // A dependent whose last pending source this was becomes
+    // issuable: it joins the issue list (see doIssue).
     for (const InstPtr &dep : inst->dependents) {
-        if (!dep->squashed() && dep->depsPending > 0)
-            --dep->depsPending;
+        if (!dep->squashed() && dep->depsPending > 0 &&
+            --dep->depsPending == 0)
+            insertIntoReadyList(dep);
     }
     inst->dependents.clear();
 

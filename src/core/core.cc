@@ -170,8 +170,7 @@ SmtCore::~SmtCore()
     };
     for (const InstPtr &inst : parked)
         unlink(inst);
-    for (const auto &event : completionQueue)
-        unlink(event.inst);
+    completionQueue.forEach(unlink);
     for (const auto &ctx : contexts) {
         for (const InstPtr &inst : ctx->inflight)
             unlink(inst);
@@ -403,11 +402,12 @@ SmtCore::quiescentUntil(Cycle limit)
             return curCycle; // would retire
     }
 
-    // Issue: any dispatched instruction that could go this cycle or on
-    // a later cycle purely by aging (dependence/serialization stalls
-    // resolve via completion events, which are already covered).
+    // Issue: any listed (operand-ready) instruction that could go this
+    // cycle or on a later cycle purely by aging (dependence and
+    // serialization stalls resolve via completion events, which are
+    // already covered).
     for (const InstPtr &inst : readyList) {
-        if (inst->status != InstStatus::InWindow || inst->depsPending > 0)
+        if (inst->status != InstStatus::InWindow)
             continue;
         Cycle ready_at = inst->windowAt + params.core.schedDepth +
                          params.core.regReadDepth;

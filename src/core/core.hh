@@ -18,6 +18,11 @@
  * per-thread fetch order against speculative architectural state with
  * an undo log, so wrong paths execute real instructions and pollute
  * real caches — the mechanism behind the paper's gcc anomaly.
+ *
+ * Host cost per simulated instruction (DESIGN.md Section 11): issue
+ * scans only operand-ready instructions (readyList), completions wait
+ * in a timing wheel (CompletionQueue), and one fetch group translates
+ * each page and probes the icache for each line once.
  */
 
 #ifndef ZMT_CORE_CORE_HH
@@ -310,7 +315,18 @@ class SmtCore : public stats::StatGroup
         Addr pa;
         isa::InstWord word;
     };
-    FetchWord fetchWordAt(const ThreadCtx &ctx, Addr pc) const;
+    /** The page a fetch group reads from, translated once. Nothing
+     *  executes within a group, so it cannot go stale there. */
+    struct FetchPage
+    {
+        Addr vaBase = 0;
+        Addr span = 0; //!< bytes from vaBase that translate (0: none)
+        Addr paBase = 0;
+        const uint8_t *bytes = nullptr; //!< null: never written, reads 0
+    };
+    /** The word at @p pc, through (and refilling) @p page. */
+    FetchWord fetchWordAt(const ThreadCtx &ctx, Addr pc,
+                          FetchPage &page) const;
     /** Fill the handler's fetch buffer as if fetched at @p fetch_done
      *  (0: already decoded). */
     void prefillQuickStart(ThreadCtx &ctx, Cycle fetch_done);
@@ -464,13 +480,17 @@ class SmtCore : public stats::StatGroup
     unsigned countWindowSlots() const; //!< recount, for audits
 
     /**
-     * Dispatched-but-unissued instructions (status InWindow or
-     * TlbWait), sorted by seq. doIssue scans this instead of the whole
-     * window; issued/squashed entries are compacted out in-scan.
+     * The issue list, sorted by seq: every InWindow instruction with no
+     * pending source (inserted at dispatch, or by completeInst when its
+     * last source completes) and every parked (TlbWait) one. doIssue
+     * scans this instead of the whole window; issued/squashed entries
+     * are compacted out in-scan. InvariantChecker audits both
+     * directions.
      */
     std::vector<InstPtr> readyList;
 
-    /** Completion events: cycle -> instruction. */
+    /** Completion events, drained in (cycle, issue order) by doComplete:
+     *  a timing wheel with an overflow heap (core/completionq.hh). */
     CompletionQueue completionQueue;
 
     /** fetchOrder() scratch (avoids two allocations per cycle). */

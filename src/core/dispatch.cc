@@ -362,7 +362,10 @@ SmtCore::dispatchInst(ThreadCtx &ctx, const InstPtr &inst)
     inst->status = InstStatus::InWindow;
     if (!inst->freeWindowSlot)
         ++windowCount;
-    insertIntoReadyList(inst);
+    // Operand-ready now; otherwise the last source's completion
+    // inserts it (completeInst).
+    if (inst->depsPending == 0)
+        insertIntoReadyList(inst);
     obsEmit(obs::EventKind::Dispatched, *inst);
 
     if (helpers->prefetchOn() && ctx.isApp() && !inst->palMode &&

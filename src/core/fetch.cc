@@ -15,18 +15,46 @@
 namespace zmt
 {
 
+namespace
+{
+
+/** Little-endian 32-bit load: the simulated machine's byte order. */
+uint32_t
+loadWord(const uint8_t *bytes)
+{
+    return uint32_t(bytes[0]) | uint32_t(bytes[1]) << 8 |
+           uint32_t(bytes[2]) << 16 | uint32_t(bytes[3]) << 24;
+}
+
+} // anonymous namespace
+
 SmtCore::FetchWord
-SmtCore::fetchWordAt(const ThreadCtx &ctx, Addr pc) const
+SmtCore::fetchWordAt(const ThreadCtx &ctx, Addr pc, FetchPage &page) const
 {
     // PAL code lives at physical addresses; a user PC is translated
-    // once for both the icache and the word. An unmapped (wild
-    // wrong-path) PC still touches the icache and reads as word 0.
-    if (ctx.fetchPal)
-        return {pc, physMem.read32(pc)};
-    panic_if(!ctx.proc, "user fetch on an unbound context");
-    if (auto pa = ctx.proc->space().translate(pc))
-        return {*pa, physMem.read32(*pa)};
-    return {fakePa(ctx.proc->asn(), pc), 0};
+    // once per page for both the icache and the word. An unmapped
+    // (wild wrong-path) PC still touches the icache and reads as word 0.
+    if (pc - page.vaBase >= page.span) {
+        Addr va_base = pc & ~PageMask;
+        if (ctx.fetchPal) {
+            page = {va_base, PageBytes, va_base, physMem.pageBytes(pc)};
+        } else {
+            panic_if(!ctx.proc, "user fetch on an unbound context");
+            const AddressSpace &space = ctx.proc->space();
+            auto pa = space.translate(pc);
+            if (!pa)
+                return {fakePa(ctx.proc->asn(), pc), 0};
+            // translate() refuses every VA from vaLimit on, which need
+            // not be page-aligned.
+            page = {va_base, std::min(PageBytes, space.vaLimit() - va_base),
+                    *pa & ~PageMask, physMem.pageBytes(*pa)};
+        }
+    }
+    Addr offset = pc - page.vaBase;
+    Addr pa = page.paBase + offset;
+    if (offset > PageBytes - 4)
+        return {pa, physMem.read32(pa)}; // the word straddles the page end
+    return {pa, page.bytes ? loadWord(page.bytes + offset) : 0};
 }
 
 const std::vector<SmtCore::ThreadCtx *> &
@@ -126,15 +154,25 @@ SmtCore::createFetchedInst(ThreadCtx &ctx, Addr pc, isa::InstWord word,
 unsigned
 SmtCore::fetchFromThread(ThreadCtx &ctx, unsigned budget)
 {
+    // Nothing executes within one fetch group, so memory, the page
+    // tables and the icache stay as they are until it ends (an icache
+    // miss ends it): translate each page once, and after a plain hit
+    // let the following words of the same line re-touch it as the
+    // hits they are.
+    FetchPage page;
+    bool line_hit = false;
     unsigned fetched = 0;
     while (budget > 0 && canFetch(ctx)) {
         Addr pc = ctx.fetchPc;
-        FetchWord fw = fetchWordAt(ctx, pc);
+        FetchWord fw = fetchWordAt(ctx, pc, page);
 
         // Instruction-cache timing: a miss delays this and subsequent
         // instructions of the group; fetch of this thread stops for
         // the cycle.
-        Cycle icache_ready = hier->instAccess(fw.pa, curCycle);
+        Cycle icache_ready = line_hit && hier->icache().rehit(fw.pa)
+                                 ? curCycle
+                                 : hier->instAccess(fw.pa, curCycle);
+        line_hit = icache_ready <= curCycle;
         Cycle fetch_done =
             std::max(icache_ready, curCycle) + params.core.fetchDepth;
 
@@ -202,11 +240,12 @@ SmtCore::prefillQuickStart(ThreadCtx &ctx, Cycle fetch_done)
     // before the exception occurred (paper Section 5.4): instructions
     // appear past the fetch pipe immediately, paying only decode and
     // later stages. Follows the predicted path through the handler.
+    FetchPage page;
     unsigned count = 0;
     while (count < ctx.handlerLen) {
         Addr pc = ctx.fetchPc;
-        InstPtr inst =
-            createFetchedInst(ctx, pc, fetchWordAt(ctx, pc).word, fetch_done);
+        InstPtr inst = createFetchedInst(
+            ctx, pc, fetchWordAt(ctx, pc, page).word, fetch_done);
         if (obsLog) [[unlikely]] {
             obsEmit(obs::EventKind::Fetched, *inst, 0, obs::EvPrefill);
             if (obsLog->wantLabels())

@@ -1,10 +1,16 @@
 /**
  * @file
  * Schedule/execute stage: oldest-fetched-first selection over the
- * shared instruction window, functional-unit and issue-width
- * constraints (Table 1), TLB lookup at address generation with
- * mechanism-specific miss handling, and the hardware page walker
+ * operand-ready instructions of the shared window, functional-unit and
+ * issue-width constraints (Table 1), TLB lookup at address generation
+ * with mechanism-specific miss handling, and the hardware page walker
  * competing for load/store ports.
+ *
+ * Selection scans readyList, not the window: an instruction joins it
+ * when it has no pending source, at dispatch or when its last source
+ * completes, so dependence-stalled instructions cost nothing per cycle.
+ * Both inserts keep the list sorted by seq, which is what makes the
+ * scan oldest-fetched-first.
  */
 
 #include <algorithm>
@@ -19,8 +25,13 @@ namespace zmt
 void
 SmtCore::insertIntoReadyList(const InstPtr &inst)
 {
-    // Sorted by seq, same ordering invariant as the window. Dispatch
-    // interleaves threads, so an insert is not always an append.
+    // Sorted by seq. Dispatch interleaves threads and a wake-up can be
+    // older than anything dispatched since, so an insert is not always
+    // an append, though it usually is.
+    if (readyList.empty() || readyList.back()->seq < inst->seq) {
+        readyList.push_back(inst);
+        return;
+    }
     auto pos = std::upper_bound(
         readyList.begin(), readyList.end(), inst->seq,
         [](SeqNum seq, const InstPtr &other) { return seq < other->seq; });
@@ -179,18 +190,19 @@ SmtCore::doIssue()
     unsigned budget = params.core.width;
     unsigned issued = 0;
 
-    // Scan only the dispatched-but-unissued instructions. readyList is
-    // the window filtered to status InWindow/TlbWait and sorted by seq
-    // (oldest-fetched first, the paper's selection policy); entries
-    // that issued or squashed since the last scan are compacted out in
-    // the same pass. Nothing dispatches during issue, so the list
-    // does not grow under the scan.
+    // Scan only the operand-ready instructions. readyList holds the
+    // InWindow instructions with no pending source plus the parked
+    // (TlbWait) ones, sorted by seq (oldest-fetched first, the paper's
+    // selection policy); entries that issued or squashed since the last
+    // scan are compacted out in the same pass. Nothing dispatches or
+    // completes during issue, so the list does not grow under the scan.
     const size_t n0 = readyList.size();
     size_t keep = 0;
     bool exhausted = false;
     for (size_t i = 0; i < n0; ++i) {
-        // By value: it moves back into its compacted slot below.
-        InstPtr inst = readyList[i];
+        // Moved out: it moves back into its compacted slot below, and
+        // nothing reads the list while an instruction issues.
+        InstPtr inst = std::move(readyList[i]);
 
         if (inst->status != InstStatus::InWindow) {
             // Parked instructions (TlbWait) stay scheduled — the wake
@@ -200,7 +212,7 @@ SmtCore::doIssue()
                 readyList[keep++] = std::move(inst);
             continue;
         }
-        if (exhausted || inst->depsPending > 0 ||
+        if (exhausted ||
             curCycle < inst->windowAt + params.core.schedDepth +
                            params.core.regReadDepth ||
             (inst->isSerializing() && !oldestUnfinished(*inst))) {

@@ -36,12 +36,6 @@ PhysMem::pageFor(Addr pa)
     return it->second.get();
 }
 
-const uint8_t *
-PhysMem::pageForConst(Addr pa) const
-{
-    return cachedPage(pageNum(pa));
-}
-
 uint64_t
 PhysMem::read(Addr pa, unsigned size) const
 {
@@ -59,7 +53,7 @@ PhysMem::read(Addr pa, unsigned size) const
     uint64_t value = 0;
     for (unsigned i = 0; i < size; ++i) {
         Addr byte_pa = pa + i;
-        const uint8_t *page = pageForConst(byte_pa);
+        const uint8_t *page = pageBytes(byte_pa);
         uint8_t b = page ? page[byte_pa & PageMask] : 0;
         value |= uint64_t(b) << (8 * i);
     }

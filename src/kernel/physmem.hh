@@ -46,6 +46,13 @@ class PhysMem
     void write64(Addr pa, uint64_t v) { write(pa, 8, v); }
     void write32(Addr pa, uint32_t v) { write(pa, 4, v); }
 
+    /**
+     * The backing bytes of the page holding @p pa, or null for a page
+     * never written (it reads as zero until a write materializes it).
+     * A page, once materialized, never moves.
+     */
+    const uint8_t *pageBytes(Addr pa) const { return cachedPage(pageNum(pa)); }
+
     /** Number of backing pages materialized so far. */
     size_t pagesAllocated() const { return pages.size(); }
 
@@ -66,7 +73,6 @@ class PhysMem
 
   private:
     uint8_t *pageFor(Addr pa);
-    const uint8_t *pageForConst(Addr pa) const;
 
     /** Cached materialized-page lookup; null when not cached. */
     uint8_t *cachedPage(Addr ppn) const;

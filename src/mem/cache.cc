@@ -105,6 +105,7 @@ Cache::access(Addr pa, bool is_write, Cycle now)
                 return it->second + hitExtra;
             }
             ++hits;
+            lastHit = set * assoc + way;
             return now + hitExtra;
         }
     }

@@ -51,6 +51,23 @@ class Cache : public stats::StatGroup
      */
     Cycle access(Addr pa, bool is_write, Cycle now);
 
+    /**
+     * Repeat, for the block holding @p pa, the plain hit the last
+     * access() returned, with no access to this cache in between: touch
+     * LRU and count the hit, as access() would, without the lookup.
+     * False, with no effect, when @p pa is in another block.
+     */
+    bool
+    rehit(Addr pa)
+    {
+        Line &line = lines[lastHit];
+        if (!line.valid || line.tag != blockAddr(pa))
+            return false;
+        line.lastUse = ++useCounter;
+        ++hits;
+        return true;
+    }
+
     /** Probe without side effects: would this access hit right now? */
     bool wouldHit(Addr pa) const;
 
@@ -131,6 +148,7 @@ class Cache : public stats::StatGroup
 
     std::vector<Line> lines; //!< numSets * assoc, set-major
     uint64_t useCounter = 0;
+    size_t lastHit = 0; //!< index in lines of the latest plain hit
 
     /** Outstanding misses: block -> data-ready cycle. */
     std::map<Addr, Cycle> outstanding;

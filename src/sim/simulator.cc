@@ -42,6 +42,11 @@ tuneAllocatorOnce()
 /** Cache lines one cache may hold (16M: a few hundred MB of tags). */
 constexpr uint64_t MaxCacheLines = uint64_t(1) << 24;
 
+/** Largest cycles per pipeline stage, and per L2/memory access or bus
+ *  block transfer. */
+constexpr unsigned MaxStageDepth = 64;
+constexpr unsigned MaxMemCycles = 4096;
+
 /**
  * Reject, naming the key, values the machine cannot be built or make
  * progress under: with no window slot or no unit of some functional
@@ -62,8 +67,25 @@ checkParams(const SimParams &params)
           {"core.lsPortCount", core.lsPortCount}})
         fatal_if(value == 0, "%s must be at least 1", key);
 
-    // Cache(): sets = size / lineBytes / assoc, a nonzero power of two.
+    // Stage depths and memory timing: far past any machine worth
+    // modelling (the paper's are 1-4 cycles per stage, 6-cycle L2,
+    // 80-cycle memory), yet small enough that frontendDepth() cannot
+    // wrap and a run at every maximum still finishes long before the
+    // livelock watchdog.
     const MemParams &mem = params.mem;
+    for (auto [key, value, max] :
+         {std::tuple{"core.fetchDepth", core.fetchDepth, MaxStageDepth},
+          {"core.decodeDepth", core.decodeDepth, MaxStageDepth},
+          {"core.schedDepth", core.schedDepth, MaxStageDepth},
+          {"core.regReadDepth", core.regReadDepth, MaxStageDepth},
+          {"mem.l2Latency", mem.l2Latency, MaxMemCycles},
+          {"mem.memLatency", mem.memLatency, MaxMemCycles},
+          {"mem.l1l2BusCyclesPerBlock", mem.l1l2BusCyclesPerBlock,
+           MaxMemCycles},
+          {"mem.l2MemBusCycles", mem.l2MemBusCycles, MaxMemCycles}})
+        fatal_if(value > max, "%s must be at most %u", key, max);
+
+    // Cache(): sets = size / lineBytes / assoc, a nonzero power of two.
     for (auto [name, sizeKb, assoc, lineBytes] :
          {std::tuple{"l1i", mem.l1iSizeKb, mem.l1iAssoc, mem.l1iLineBytes},
           {"l1d", mem.l1dSizeKb, mem.l1dAssoc, mem.l1dLineBytes},

@@ -32,6 +32,7 @@ void
 InvariantChecker::audit()
 {
     auditWindow();
+    auditReadyList();
     auditContexts();
     auditRecords();
     auditParked();
@@ -96,6 +97,59 @@ InvariantChecker::auditWindow()
            << core.params.core.windowSize << " (cycle " << core.curCycle
            << ")";
         fail(os.str());
+    }
+}
+
+void
+InvariantChecker::auditReadyList()
+{
+    // Sound: seq-sorted, no duplicates, and each entry either issuable
+    // (InWindow with no pending source, or parked in TlbWait) or an
+    // issued/squashed one the next issue scan compacts out.
+    const auto &list = core.readyList;
+    for (size_t i = 0; i < list.size(); ++i) {
+        const DynInst &inst = *list[i];
+        std::ostringstream os;
+        os << "issue list seq " << inst.seq << " (cycle " << core.curCycle
+           << "): ";
+        if (i > 0 && list[i - 1]->seq >= inst.seq) {
+            os << "not strictly seq-sorted after seq " << list[i - 1]->seq;
+            fail(os.str());
+            return;
+        }
+        bool issuable = (inst.status == InstStatus::InWindow ||
+                         inst.status == InstStatus::TlbWait) &&
+                        inst.depsPending == 0;
+        bool stale = inst.status == InstStatus::Issued ||
+                     inst.completed() || inst.squashed();
+        if (!issuable && !stale) {
+            os << "status " << int(inst.status) << " with "
+               << inst.depsPending << " pending sources";
+            fail(os.str());
+        }
+    }
+
+    // Complete: every operand-ready window instruction is listed.
+    for (const auto &ctx : core.contexts) {
+        for (const InstPtr &inst : ctx->inflight) {
+            if (inst->depsPending > 0 ||
+                (inst->status != InstStatus::InWindow &&
+                 inst->status != InstStatus::TlbWait))
+                continue;
+            auto it = std::lower_bound(
+                list.begin(), list.end(), inst->seq,
+                [](const InstPtr &other, SeqNum seq) {
+                    return other->seq < seq;
+                });
+            if (it == list.end() || it->get() != inst.get()) {
+                std::ostringstream os;
+                os << "seq " << inst->seq << " t" << inst->tid
+                   << " (cycle " << core.curCycle << ") is operand-ready"
+                   << " in status " << int(inst->status)
+                   << " but missing from the issue list";
+                fail(os.str());
+            }
+        }
     }
 }
 

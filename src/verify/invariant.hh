@@ -9,6 +9,10 @@
  *    live instructions, and is a dispatched (window) prefix followed
  *    by exactly the fetch buffer; the window occupancy counter matches
  *    the slot-holding prefix entries of all contexts
+ *  - the issue list is seq-sorted without duplicates, holds only
+ *    operand-ready InWindow or parked (TlbWait) instructions besides
+ *    issued/squashed ones awaiting compaction, and lists every
+ *    operand-ready InWindow or TlbWait instruction
  *  - per-context accounting (icount vs. in-flight list, idle contexts
  *    are empty)
  *  - context state machine takes only legal transitions
@@ -61,6 +65,7 @@ class InvariantChecker
   private:
     void fail(std::string msg);
     void auditWindow();
+    void auditReadyList();
     void auditContexts();
     void auditRecords();
     void auditParked();

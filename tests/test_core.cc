@@ -196,6 +196,33 @@ TEST(Mechanism, HardwareWalksWithoutFetchingHandlers)
     EXPECT_GT(stat(sim, "walker.walksStarted"), 0.0);
 }
 
+// Fetch probes the icache once per line of a fetch group and lets the
+// following words of a line that hit re-touch it, so every fetched word
+// is still exactly one icache hit, miss or MSHR merge. Quick-start's
+// prefill (and the instant-handler limit study) place handler words in
+// the fetch buffer without an icache access, so they are left out.
+TEST(Fetch, EveryFetchedWordIsOneIcacheAccess)
+{
+    for (ExceptMech mech :
+         {ExceptMech::PerfectTlb, ExceptMech::Traditional,
+          ExceptMech::Multithreaded, ExceptMech::Hardware}) {
+        Simulator sim(smallParams(mech, 100000),
+                      std::vector<std::string>{"compress"});
+        ASSERT_TRUE(sim.run().ok());
+        double fetched = stat(sim, "fetchedInsts");
+        double hits = stat(sim, "mem.l1i.hits");
+        double misses = stat(sim, "mem.l1i.misses");
+        double merges = stat(sim, "mem.l1i.mshrMerges");
+        EXPECT_EQ(hits + misses + merges, fetched) << mechName(mech);
+        if (mech == ExceptMech::Multithreaded) {
+            EXPECT_EQ(hits, 198528.0);
+            EXPECT_EQ(misses, 10.0);
+            EXPECT_EQ(merges, 71.0);
+            EXPECT_EQ(fetched, 198609.0);
+        }
+    }
+}
+
 TEST(Mechanism, QuickStartWarmsTheBuffer)
 {
     Simulator sim(smallParams(ExceptMech::QuickStart),

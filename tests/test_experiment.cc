@@ -252,27 +252,56 @@ TEST(Params, BadValueIsFatal)
     }
 }
 
-// Pipeline depths, latencies and bus occupancies take any 32-bit value:
-// at the maximum the run is merely slow and ends at the livelock
-// watchdog with a structured status; at zero it runs to completion. No
-// value may crash the simulator.
-TEST(Params, UnboundedKeysRunAtBothExtremes)
+// Pipeline depths, latencies and bus occupancies are bounded when the
+// Simulator is built: past the bound the build is refused, naming the
+// key; at zero and at the bound the run completes. No value may crash
+// the simulator.
+TEST(Params, TimingKeysAreBoundedAndRunAtTheirLimits)
 {
-    for (const char *key :
-         {"core.decodeDepth", "core.schedDepth", "mem.l2Latency",
-          "mem.l1l2BusCyclesPerBlock", "mem.l2MemBusCycles"}) {
-        for (const char *value : {"0", "4294967295"}) {
+    for (auto [key, max] :
+         {std::pair{"core.fetchDepth", 64}, {"core.decodeDepth", 64},
+          {"core.schedDepth", 64}, {"core.regReadDepth", 64},
+          {"mem.l2Latency", 4096}, {"mem.memLatency", 4096},
+          {"mem.l1l2BusCyclesPerBlock", 4096},
+          {"mem.l2MemBusCycles", 4096}}) {
+        for (unsigned value : {0u, unsigned(max)}) {
             SimParams params;
             params.maxInsts = 2000;
+            params.set(key, std::to_string(value));
+            CoreResult result =
+                Simulator(params, std::vector<std::string>{"compress"})
+                    .run();
+            EXPECT_TRUE(result.ok())
+                << key << "=" << value << ": " << result.error;
+        }
+        for (const std::string &value :
+             {std::to_string(max + 1), std::string("4294967295")}) {
+            SimParams params;
             params.set(key, value);
-            Simulator sim(params, std::vector<std::string>{"compress"});
-            CoreResult result = sim.run();
-            if (std::string(value) == "0")
-                EXPECT_TRUE(result.ok()) << key << ": " << result.error;
-            else
-                EXPECT_EQ(result.status, RunStatus::Livelock) << key;
+            EXPECT_EXIT(
+                Simulator(params, std::vector<std::string>{"compress"}),
+                ::testing::ExitedWithCode(1),
+                std::string(key) + " must be at most")
+                << key << "=" << value;
         }
     }
+
+    // At the largest memory latency every L2 miss completes thousands
+    // of cycles out, past the completion wheel's span, so those events
+    // take the overflow heap; the run still matches itself with and
+    // without idle-skip.
+    SimParams slow;
+    slow.maxInsts = 2000;
+    slow.set("mem.memLatency", "4096");
+    slow.set("mem.l2Latency", "4096");
+    Cycle skipped =
+        Simulator(slow, std::vector<std::string>{"compress"}).run().cycles;
+    slow.core.idleSkip = false;
+    CoreResult ticked =
+        Simulator(slow, std::vector<std::string>{"compress"}).run();
+    ASSERT_TRUE(ticked.ok()) << ticked.error;
+    EXPECT_EQ(ticked.cycles, skipped);
+    EXPECT_GT(ticked.cycles, Cycle(8192));
 
     // The window-occupancy histogram's bound, windowSize + 1, must not
     // wrap to zero at the maximum window.

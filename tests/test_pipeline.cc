@@ -292,4 +292,52 @@ TEST(Pipeline, CallReturnPredictsViaRas)
     EXPECT_LE(ras->value(), 3.0);
 }
 
+// Fetch translates each page and probes each icache line once per
+// fetch group; the following words of a line that hit re-touch it. The
+// stats must not tell: every fetched word is one icache hit, miss or
+// MSHR merge. The straight-line body crosses the text's first page
+// boundary and runs twice, cold and then warm (where whole groups hit);
+// a taken branch starts each pass three words into a line, so groups
+// straddle lines. A jump into unmapped memory then fetches zero words
+// (NOPs) at fakePa().
+TEST(Pipeline, EveryFetchedWordIsOneIcacheAccess)
+{
+    Assembler a;
+    a.addi(3, 31, 2);
+    a.label("pass");
+    a.br("body");
+    a.nop();
+    a.nop();
+    a.label("body");
+    for (unsigned i = 0; i < PageBytes / 4 + 64; ++i)
+        a.addi(1, 1, 1);
+    a.addi(3, 3, -1);
+    a.bne(3, "pass");
+    a.li(2, 0x180000); // below vaLimit, mapped by nothing
+    a.jmp(2);
+    a.halt();
+
+    PhysMem mem;
+    FrameAllocator frames;
+    PalCode pal = buildPalCode();
+    for (size_t i = 0; i < pal.prog.size(); ++i)
+        mem.write32(pal.prog.base + i * 4, pal.prog.words[i]);
+    ProcessImage image;
+    image.text = a.assemble(0x10000);
+    image.vaLimit = 0x200000;
+    Process proc(image, 1, mem, frames);
+    ASSERT_FALSE(proc.space().translate(0x180000));
+    stats::StatGroup root{"sim"};
+    SmtCore core(microParams(), {&proc}, mem, pal, &root);
+    for (int i = 0; i < 40000; ++i) // every text line misses cold
+        core.tick();
+
+    // Both passes, then well into the wild NOPs.
+    EXPECT_GT(core.retiredUserInsts(0), 2 * (PageBytes / 4) + 1000);
+    const Cache &icache = core.memory().icache();
+    EXPECT_EQ(icache.hits.value() + icache.misses.value() +
+                  icache.mshrMerges.value(),
+              core.fetchedInsts.value());
+}
+
 } // anonymous namespace
