@@ -4,12 +4,9 @@
  * resolves branches (mispredict squash + predictor repair), applies
  * the timing-level effects of TLBWR / RFE / HARDEXC, and consumes
  * finished hardware page walks. Also hosts the per-mechanism TLB-miss
- * dispatch (paper Sections 4.1, 4.3, 4.5).
+ * dispatch (paper Sections 4.1, 4.3, 4.5). A parked instruction stays
+ * in the issue list (readyList) in TlbWait; a fill wakes it there.
  */
-
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/core.hh"
 #include "common/logging.hh"
@@ -25,6 +22,7 @@ SmtCore::doComplete()
         if (inst->squashed())
             continue;
         completeInst(inst);
+        stageActed = true;
     }
     if (params.except.mech == ExceptMech::Hardware)
         processWalker();
@@ -101,28 +99,24 @@ SmtCore::onTlbwrExecute(const InstPtr &inst)
     }
     obsEmit(obs::EventKind::Fill, *inst, inst->tlbTag);
     tlb->insert(asn, inst->tlbTag);
-    installFill(asn, inst->tlbTag);
+    wakeTlbWaiters(asn, pageNum(inst->tlbTag));
 }
 
 void
-SmtCore::installFill(Asn asn, Addr va)
+SmtCore::wakeTlbWaiters(Asn asn, Addr vpn)
 {
-    Addr vpn = pageNum(va);
-    for (auto it = parked.begin(); it != parked.end();) {
-        InstPtr &waiter = *it;
-        if (waiter->squashed()) {
-            it = parked.erase(it);
+    // The wake flips the status in place: the entry stays in the list
+    // and issues like any operand-ready instruction. A squash inside
+    // the issue scan can get here; the entries that scan has moved out
+    // are null (see doIssue).
+    for (const InstPtr &waiter : readyList) {
+        if (!waiter || waiter->status != InstStatus::TlbWait)
             continue;
-        }
-        ThreadCtx &wctx = ctxOf(**&waiter);
+        const ThreadCtx &wctx = ctxOf(*waiter);
         if (wctx.proc && wctx.proc->asn() == asn &&
-            pageNum(waiter->effVa) == vpn &&
-            waiter->status == InstStatus::TlbWait) {
+            pageNum(waiter->effVa) == vpn) {
+            waiter->status = InstStatus::InWindow;
             obsEmit(obs::EventKind::Wake, *waiter, vpn);
-            waiter->status = InstStatus::InWindow; // re-schedule
-            it = parked.erase(it);
-        } else {
-            ++it;
         }
     }
 }
@@ -190,6 +184,7 @@ void
 SmtCore::processWalker()
 {
     for (const WalkResult &walk : walker->collectFinished(curCycle)) {
+        stageActed = true;
         uint64_t key = obs::walkKey(walk.asn, pageNum(walk.va));
         if (walk.squashed) {
             obsEmitTid(obs::EventKind::WalkAbort, InvalidThreadID, key,
@@ -207,7 +202,7 @@ SmtCore::processWalker()
         obsEmitTid(obs::EventKind::WalkDone, InvalidThreadID, key,
                    walk.faultSeq);
         tlb->insert(walk.asn, walk.va);
-        installFill(walk.asn, walk.va);
+        wakeTlbWaiters(walk.asn, pageNum(walk.va));
     }
 }
 
@@ -293,16 +288,8 @@ SmtCore::onEmulwrExecute(const InstPtr &inst)
     panic_if(!record, "EMULWR in a handler without a record");
     obsEmit(obs::EventKind::Fill, *inst);
     InstPtr fault = record->faultInst;
-    if (fault && fault->status == InstStatus::TlbWait &&
-        !fault->squashed()) {
-        for (auto it = parked.begin(); it != parked.end(); ++it) {
-            if (it->get() == fault.get()) {
-                parked.erase(it);
-                break;
-            }
-        }
+    if (fault && fault->status == InstStatus::TlbWait)
         completeInst(fault);
-    }
     record->filled = true;
 }
 
@@ -328,7 +315,6 @@ SmtCore::onTlbMiss(const InstPtr &inst)
         if (walker->walking(asn, inst->effVa)) {
             walker->relink(asn, inst->effVa, inst->seq);
             obsEmit(obs::EventKind::Park, *inst, vpn);
-            parked.push_back(inst);
             return;
         }
         inst->causedTlbMiss = true;
@@ -337,7 +323,6 @@ SmtCore::onTlbMiss(const InstPtr &inst)
         obsEmit(obs::EventKind::WalkStart, *inst,
                 obs::walkKey(asn, vpn));
         obsEmit(obs::EventKind::Park, *inst, vpn);
-        parked.push_back(inst);
         return;
       }
 
@@ -354,7 +339,6 @@ SmtCore::onTlbMiss(const InstPtr &inst)
                     obsEmitTid(obs::EventKind::Relink, record->handler,
                                vpn, inst->seq);
                     obsEmit(obs::EventKind::Park, *inst, vpn);
-                    parked.push_back(inst);
                 } else {
                     // Without relinking: squash and re-fetch at the
                     // correct (older) boundary — the squash reclaims
@@ -363,7 +347,6 @@ SmtCore::onTlbMiss(const InstPtr &inst)
                 }
             } else {
                 obsEmit(obs::EventKind::Park, *inst, vpn);
-                parked.push_back(inst);
             }
             return;
         }
@@ -419,7 +402,6 @@ SmtCore::spawnMtHandler(const InstPtr &inst, ExcKind kind)
 
     obsEmit(obs::EventKind::Park, *inst,
             kind == ExcKind::TlbMiss ? pageNum(inst->effVa) : 0);
-    parked.push_back(inst);
 
     if (params.except.instantHandlerFetch) {
         // Limit study: the handler appears fetched and decoded the

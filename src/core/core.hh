@@ -22,16 +22,21 @@
  * Host cost per simulated instruction (DESIGN.md Section 11): issue
  * scans only operand-ready instructions (readyList), completions wait
  * in a timing wheel (CompletionQueue), and one fetch group translates
- * each page and probes the icache for each line once.
+ * each page and probes the icache for each line once. Idle-skip reads
+ * what the stages report: a tick in which none of them acted is
+ * followed by a jump to the earliest cycle any of them waits for.
  */
 
 #ifndef ZMT_CORE_CORE_HH
 #define ZMT_CORE_CORE_HH
 
+#include <algorithm>
+#include <array>
 #include <deque>
 #include <memory>
 #include <vector>
 
+#include "common/hash.hh"
 #include "config/params.hh"
 #include "core/completionq.hh"
 #include "core/dyninst.hh"
@@ -265,8 +270,11 @@ class SmtCore : public stats::StatGroup
         // only after retirement has had a chance to free slots.
         unsigned dispatchBlockedCycles = 0;
 
-        std::deque<InstPtr> fetchBuf; //!< fetched, not yet dispatched
-        std::deque<InstPtr> inflight; //!< fetched, not yet retired
+        /** Fetched, not yet retired, in seq order: the dispatched
+         *  (window) entries, then the fetch buffer. */
+        std::deque<InstPtr> inflight;
+        /** The fetch buffer: the undispatched tail of inflight. */
+        unsigned undispatched = 0;
 
         // Speculative register rename: last (possibly in-flight) writer.
         std::array<InstPtr, isa::NumIntRegs> intWriter;
@@ -276,7 +284,7 @@ class SmtCore : public stats::StatGroup
 
         unsigned icount = 0; //!< in-flight instructions (fetch policy)
         uint64_t retiredUserInsts = 0;
-        uint64_t storeHash = 0xcbf29ce484222325ULL;
+        uint64_t storeHash = Fnv1a64Basis;
 
         bool isApp() const { return cstate == CtxState::App; }
         bool isHandler() const { return cstate == CtxState::Handler; }
@@ -307,8 +315,14 @@ class SmtCore : public stats::StatGroup
     const std::vector<ThreadCtx *> &fetchOrder();
     bool canFetch(const ThreadCtx &ctx) const;
     unsigned fetchFromThread(ThreadCtx &ctx, unsigned budget);
-    InstPtr createFetchedInst(ThreadCtx &ctx, Addr pc, isa::InstWord word,
-                              Cycle fetch_done);
+    /**
+     * Create the instruction fetched at @p pc, append it to the
+     * thread's fetch buffer and advance the fetch PC along the
+     * predicted path. @return false if it stops this thread's fetch
+     * (HALT, or an RFE waiting for its execute).
+     */
+    bool fetchInst(ThreadCtx &ctx, Addr pc, isa::InstWord word,
+                   Cycle fetch_done, uint8_t obs_flags);
     /** Physical address (fakePa() if unmapped) and word at @p pc. */
     struct FetchWord
     {
@@ -342,23 +356,29 @@ class SmtCore : public stats::StatGroup
     unsigned reservedAgainst(ThreadID master) const;
 
     // --- Issue/execute helpers ---------------------------------------------------
-    bool fuAvailable(isa::OpClass cls) const;
-    void consumeFu(isa::OpClass cls);
+    /** Functional-unit pools (Table 1); every OpClass issues to one. */
+    enum FuPool : uint8_t { AluPool, MulPool, FpAddPool, FpDivPool,
+                            LsPool, NumFuPools };
+    static FuPool fuPoolOf(isa::OpClass cls);
     void issueInst(const InstPtr &inst);
     bool oldestUnfinished(const DynInst &inst) const;
     Addr fakePa(Asn asn, Addr va) const;
     void insertIntoReadyList(const InstPtr &inst);
 
     // --- Idle-skip scheduling (see DESIGN.md Section 11) -----------------
-    /**
-     * First cycle at which a real tick() could do or observe anything,
-     * assuming every cycle in between is quiescent; returns curCycle
-     * (no skip) when the upcoming tick itself has work. Never exceeds
-     * @p limit.
-     */
-    Cycle quiescentUntil(Cycle limit);
-    /** Fast-forward @p count quiescent cycles, batching the per-cycle
-     *  bookkeeping those ticks would have done (bit-identical stats). */
+    /** A stage changed state this tick (fetched, dispatched, issued,
+     *  completed, retired, opened a splice or fired the deadlock
+     *  squash); reset at the start of every tick. */
+    bool stageActed = false;
+    /** Earliest cycle a stage's wait for time alone ends (operand
+     *  aging, decode, the deadlock squash); reset every tick. */
+    Cycle stageWakeAt = MaxCycle;
+    void noteWake(Cycle at) { stageWakeAt = std::min(stageWakeAt, at); }
+    /** Contexts whose dispatch found the window full this tick. */
+    std::vector<ThreadCtx *> dispatchBlocked;
+    /** Fast-forward @p count cycles after a tick in which no stage
+     *  acted, batching the per-cycle bookkeeping those ticks would have
+     *  done (bit-identical stats). */
     void skipCycles(Cycle count);
 
     // --- Completion helpers ---------------------------------------------------
@@ -368,7 +388,9 @@ class SmtCore : public stats::StatGroup
     void onRfeExecute(const InstPtr &inst);
     void onHardexcExecute(const InstPtr &inst);
     void processWalker();
-    void installFill(Asn asn, Addr va);
+    /** Re-schedule the parked (TlbWait) instructions of @p asn waiting
+     *  on page @p vpn. */
+    void wakeTlbWaiters(Asn asn, Addr vpn);
 
     // --- Exceptions -------------------------------------------------------------
     void onTlbMiss(const InstPtr &inst);
@@ -383,9 +405,7 @@ class SmtCore : public stats::StatGroup
                       Addr fault_pc);
     ExcRecord *recordForHandler(ThreadID handler);
     ExcRecord *recordForPage(Asn asn, Addr vpn);
-    void releaseHandlerCtx(ThreadCtx &ctx);
     void cancelRecord(size_t idx);
-    void wakeTlbWaiters(Asn asn, Addr vpn);
 
     /** Injected fault: squash one record's master from its excepting
      *  instruction, exercising mid-flight handler reclaim. */
@@ -472,7 +492,6 @@ class SmtCore : public stats::StatGroup
     }
 
     std::vector<ExcRecord> records;
-    std::vector<InstPtr> parked; //!< instructions waiting on a TLB fill
 
     /** Window occupancy. The window is the inWindowLike() prefix of
      *  each context's in-flight list; freeWindowSlot entries hold no slot. */
@@ -482,10 +501,10 @@ class SmtCore : public stats::StatGroup
     /**
      * The issue list, sorted by seq: every InWindow instruction with no
      * pending source (inserted at dispatch, or by completeInst when its
-     * last source completes) and every parked (TlbWait) one. doIssue
-     * scans this instead of the whole window; issued/squashed entries
-     * are compacted out in-scan. InvariantChecker audits both
-     * directions.
+     * last source completes) and every parked (TlbWait) one, which is
+     * where a fill's wake finds them. doIssue scans this instead of the
+     * whole window; issued/squashed entries are compacted out in-scan.
+     * InvariantChecker audits both directions.
      */
     std::vector<InstPtr> readyList;
 
@@ -506,9 +525,9 @@ class SmtCore : public stats::StatGroup
     // with the Section 6 emulation class it becomes a real predictor.
     ExcKind predictedExcType = ExcKind::TlbMiss;
 
-    // Per-cycle FU accounting (reset in doIssue).
-    unsigned aluUsed = 0, mulUsed = 0, fpAddUsed = 0, fpDivUsed = 0,
-             lsUsed = 0;
+    // Per-cycle FU accounting: units used (reset in doIssue) and units
+    // configured, per pool.
+    std::array<unsigned, NumFuPools> fuUsed{}, fuCount{};
 
     friend class DispatchContext;
     friend class InvariantChecker;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Decode/dispatch stage. Instructions leave the per-thread fetch
- * buffers in fetch order, are executed *functionally* against the
+ * buffers (the undispatched tail of each thread's in-flight list) in
+ * fetch order, are executed *functionally* against the
  * thread's speculative architectural state (recording undo
  * information), have their register dependences linked through the
  * speculative rename tables, and enter the instruction window —
@@ -405,8 +406,7 @@ SmtCore::handlerWindowDeadlock(ThreadCtx &handler_ctx)
         handler_ctx.handlerLen > handler_ctx.handlerFetched
             ? handler_ctx.handlerLen - handler_ctx.handlerFetched
             : 0;
-    unsigned needed =
-        unsigned(handler_ctx.fetchBuf.size()) + not_fetched;
+    unsigned needed = handler_ctx.undispatched + not_fetched;
     if (needed == 0)
         return;
 
@@ -443,38 +443,52 @@ SmtCore::handlerWindowDeadlock(ThreadCtx &handler_ctx)
 void
 SmtCore::doDispatch()
 {
+    // The tail squash is a last resort for a *true* deadlock: the
+    // window is full and nothing is retiring. With a single
+    // application that state is final (the master is blocked on the
+    // parked excepting instruction), so resolve it quickly. With
+    // multiple applications, another thread's stalled head usually
+    // drains once its memory access returns — only a stall longer than
+    // the memory latency indicates deadlock (paper Section 4.4: "an
+    // extremely rare occurrence").
+    const Cycle stall_limit = numApps == 1 ? 4 : params.mem.memLatency + 70;
     unsigned budget = params.core.width;
+    dispatchBlocked.clear();
     for (ThreadCtx *ctx : fetchOrder()) {
         bool free_bw =
             ctx->isHandler() && params.except.freeHandlerFetchBw;
-        while ((budget > 0 || free_bw) && !ctx->fetchBuf.empty()) {
-            InstPtr head = ctx->fetchBuf.front();
-            if (head->fetchDoneAt + params.core.decodeDepth > curCycle)
+        while ((budget > 0 || free_bw) && ctx->undispatched > 0) {
+            InstPtr head = ctx->inflight[ctx->inflight.size() -
+                                         ctx->undispatched];
+            Cycle decode_ready = head->fetchDoneAt + params.core.decodeDepth;
+            if (decode_ready > curCycle) {
+                noteWake(decode_ready);
                 break;
+            }
             if (!windowHasRoomFor(*ctx, *head)) {
-                // The tail squash is a last resort for a *true*
-                // deadlock: the window is full and nothing is
-                // retiring. With a single application that state is
-                // final (the master is blocked on the parked excepting
-                // instruction), so resolve it quickly. With multiple
-                // applications, another thread's stalled head usually
-                // drains once its memory access returns — only a stall
-                // longer than the memory latency indicates deadlock
-                // (paper Section 4.4: "an extremely rare occurrence").
                 ++ctx->dispatchBlockedCycles;
-                Cycle stall_limit =
-                    numApps == 1 ? 4 : params.mem.memLatency + 70;
-                if (ctx->isHandler() && params.except.deadlockSquash &&
-                    ctx->dispatchBlockedCycles >= 2 &&
-                    curCycle - lastRetireCycle >= stall_limit) {
-                    handlerWindowDeadlock(*ctx);
-                    ctx->dispatchBlockedCycles = 0;
+                dispatchBlocked.push_back(ctx);
+                if (ctx->isHandler() && params.except.deadlockSquash) {
+                    // Fires once the handler has been blocked for two
+                    // cycles and nothing has retired for stall_limit.
+                    Cycle fire_at = std::max(
+                        curCycle + 2 -
+                            std::min(ctx->dispatchBlockedCycles, 2u),
+                        lastRetireCycle + stall_limit);
+                    if (fire_at <= curCycle) {
+                        handlerWindowDeadlock(*ctx);
+                        ctx->dispatchBlockedCycles = 0;
+                        stageActed = true;
+                    } else {
+                        noteWake(fire_at);
+                    }
                 }
                 break;
             }
             ctx->dispatchBlockedCycles = 0;
-            ctx->fetchBuf.pop_front();
+            --ctx->undispatched;
             dispatchInst(*ctx, head);
+            stageActed = true;
             if (!free_bw && budget > 0)
                 --budget;
         }

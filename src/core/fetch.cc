@@ -4,6 +4,8 @@
  * end (multiple non-contiguous blocks per cycle, unlimited taken
  * branches), the handler-priority/ICOUNT fetch chooser (Section 4.4),
  * per-thread fetch buffers, and the quick-start prefill (Section 5.4).
+ * A thread's fetch buffer is the undispatched tail of its in-flight
+ * list: fetch appends there and dispatch takes from its head.
  */
 
 #include <algorithm>
@@ -104,21 +106,21 @@ SmtCore::canFetch(const ThreadCtx &ctx) const
     if (!ctx.fetchEnabled || ctx.fetchHalted || ctx.stalledRfe ||
         ctx.deadEnd)
         return false;
-    // The deque holds both the in-flight fetch pipe (width x depth)
+    // The buffer holds both the in-flight fetch pipe (width x depth)
     // and the architectural fetch buffer that backs up when the
     // window is full; only the latter is the sized resource.
-    size_t capacity = params.core.fetchBufEntries +
-                      params.core.width * params.core.fetchDepth;
-    if (ctx.fetchBuf.size() >= capacity)
+    unsigned capacity = params.core.fetchBufEntries +
+                        params.core.width * params.core.fetchDepth;
+    if (ctx.undispatched >= capacity)
         return false;
     if (helpers->fetchCapped(ctx))
         return false; // predicted handler length reached (Section 4.4)
     return true;
 }
 
-InstPtr
-SmtCore::createFetchedInst(ThreadCtx &ctx, Addr pc, isa::InstWord word,
-                           Cycle fetch_done)
+bool
+SmtCore::fetchInst(ThreadCtx &ctx, Addr pc, isa::InstWord word,
+                   Cycle fetch_done, uint8_t obs_flags)
 {
     InstPtr inst = dynInstPool.acquire();
     inst->seq = nextSeq++;
@@ -148,7 +150,31 @@ SmtCore::createFetchedInst(ThreadCtx &ctx, Addr pc, isa::InstWord word,
         inst->bpChk = bpred->snapshot(ctx.id);
     }
 
-    return inst;
+    if (obsLog) [[unlikely]] {
+        obsEmit(obs::EventKind::Fetched, *inst, 0, obs_flags);
+        if (obsLog->wantLabels())
+            obsLog->setLabel(inst->seq, isa::disassemble(inst->di));
+    }
+    ctx.inflight.push_back(inst);
+    ++ctx.undispatched;
+    ++ctx.icount;
+    ++fetchedInsts;
+    if (ctx.isHandler())
+        ++ctx.handlerFetched;
+    stageActed = true;
+
+    if (inst->isHalt()) {
+        ctx.fetchHalted = true;
+        return false;
+    }
+    if (inst->isRfe()) {
+        // Exception returns are unpredicted: stall until execute.
+        ctx.stalledRfe = true;
+        return false;
+    }
+    ctx.fetchPc = inst->isBranch() && inst->predTaken ? inst->predTarget
+                                                      : pc + 4;
+    return true;
 }
 
 unsigned
@@ -176,40 +202,11 @@ SmtCore::fetchFromThread(ThreadCtx &ctx, unsigned budget)
         Cycle fetch_done =
             std::max(icache_ready, curCycle) + params.core.fetchDepth;
 
-        InstPtr inst = createFetchedInst(ctx, pc, fw.word, fetch_done);
-        if (obsLog) [[unlikely]] {
-            obsEmit(obs::EventKind::Fetched, *inst);
-            if (obsLog->wantLabels())
-                obsLog->setLabel(inst->seq, isa::disassemble(inst->di));
-        }
-
-        ctx.fetchBuf.push_back(inst);
-        ctx.inflight.push_back(inst);
-        ++ctx.icount;
-        ++fetchedInsts;
-        if (ctx.isHandler())
-            ++ctx.handlerFetched;
         ++fetched;
         --budget;
-
-        // Advance the fetch PC along the predicted path.
-        if (inst->isHalt()) {
-            ctx.fetchHalted = true;
+        if (!fetchInst(ctx, pc, fw.word, fetch_done, 0) ||
+            icache_ready > curCycle)
             break;
-        }
-        if (inst->isRfe()) {
-            // Exception returns are unpredicted: stall until execute.
-            ctx.stalledRfe = true;
-            break;
-        }
-        if (inst->isBranch() && inst->predTaken) {
-            ctx.fetchPc = inst->predTarget;
-        } else {
-            ctx.fetchPc = pc + 4;
-        }
-
-        if (icache_ready > curCycle)
-            break; // icache miss: stop fetching this thread this cycle
     }
     return fetched;
 }
@@ -241,30 +238,11 @@ SmtCore::prefillQuickStart(ThreadCtx &ctx, Cycle fetch_done)
     // appear past the fetch pipe immediately, paying only decode and
     // later stages. Follows the predicted path through the handler.
     FetchPage page;
-    unsigned count = 0;
-    while (count < ctx.handlerLen) {
+    for (unsigned count = 0; count < ctx.handlerLen; ++count) {
         Addr pc = ctx.fetchPc;
-        InstPtr inst = createFetchedInst(
-            ctx, pc, fetchWordAt(ctx, pc, page).word, fetch_done);
-        if (obsLog) [[unlikely]] {
-            obsEmit(obs::EventKind::Fetched, *inst, 0, obs::EvPrefill);
-            if (obsLog->wantLabels())
-                obsLog->setLabel(inst->seq, isa::disassemble(inst->di));
-        }
-        ctx.fetchBuf.push_back(inst);
-        ctx.inflight.push_back(inst);
-        ++ctx.icount;
-        ++ctx.handlerFetched;
-        ++fetchedInsts;
-        ++count;
-        if (inst->isRfe()) {
-            ctx.stalledRfe = true;
+        if (!fetchInst(ctx, pc, fetchWordAt(ctx, pc, page).word, fetch_done,
+                       obs::EvPrefill))
             break;
-        }
-        if (inst->isBranch() && inst->predTaken)
-            ctx.fetchPc = inst->predTarget;
-        else
-            ctx.fetchPc = pc + 4;
     }
 }
 

@@ -38,8 +38,8 @@ SmtCore::insertIntoReadyList(const InstPtr &inst)
     readyList.insert(pos, inst);
 }
 
-bool
-SmtCore::fuAvailable(isa::OpClass cls) const
+SmtCore::FuPool
+SmtCore::fuPoolOf(isa::OpClass cls)
 {
     using isa::OpClass;
     switch (cls) {
@@ -48,52 +48,22 @@ SmtCore::fuAvailable(isa::OpClass cls) const
       case OpClass::Priv:
       case OpClass::Nop:
       case OpClass::Halt:
-        return aluUsed < params.core.intAluCount;
+        return AluPool;
       case OpClass::IntMult:
       case OpClass::IntDiv:
-        return mulUsed < params.core.intMulCount;
+        return MulPool;
       case OpClass::FpAdd:
       case OpClass::FpMult:
-        return fpAddUsed < params.core.fpAddCount;
+        return FpAddPool;
       case OpClass::FpDiv:
       case OpClass::FpSqrt:
-        return fpDivUsed < params.core.fpDivCount;
+        return FpDivPool;
       case OpClass::Load:
       case OpClass::Store:
-        return lsUsed < params.core.lsPortCount;
+        return LsPool;
     }
-    return false;
-}
-
-void
-SmtCore::consumeFu(isa::OpClass cls)
-{
-    using isa::OpClass;
-    switch (cls) {
-      case OpClass::IntAlu:
-      case OpClass::Branch:
-      case OpClass::Priv:
-      case OpClass::Nop:
-      case OpClass::Halt:
-        ++aluUsed;
-        break;
-      case OpClass::IntMult:
-      case OpClass::IntDiv:
-        ++mulUsed;
-        break;
-      case OpClass::FpAdd:
-      case OpClass::FpMult:
-        ++fpAddUsed;
-        break;
-      case OpClass::FpDiv:
-      case OpClass::FpSqrt:
-        ++fpDivUsed;
-        break;
-      case OpClass::Load:
-      case OpClass::Store:
-        ++lsUsed;
-        break;
-    }
+    panic("bad op class");
+    return AluPool;
 }
 
 bool
@@ -186,7 +156,7 @@ SmtCore::issueInst(const InstPtr &inst)
 void
 SmtCore::doIssue()
 {
-    aluUsed = mulUsed = fpAddUsed = fpDivUsed = lsUsed = 0;
+    fuUsed.fill(0);
     unsigned budget = params.core.width;
     unsigned issued = 0;
 
@@ -196,12 +166,15 @@ SmtCore::doIssue()
     // selection policy); entries that issued or squashed since the last
     // scan are compacted out in the same pass. Nothing dispatches or
     // completes during issue, so the list does not grow under the scan.
+    // An instruction waiting only to age through the scheduler reports
+    // the cycle it may issue for idle-skip.
     const size_t n0 = readyList.size();
     size_t keep = 0;
     bool exhausted = false;
     for (size_t i = 0; i < n0; ++i) {
-        // Moved out: it moves back into its compacted slot below, and
-        // nothing reads the list while an instruction issues.
+        // Moved out: it moves back into its compacted slot below. While
+        // an instruction issues, only a squash's wake reads the list,
+        // and it skips the null slots.
         InstPtr inst = std::move(readyList[i]);
 
         if (inst->status != InstStatus::InWindow) {
@@ -212,9 +185,11 @@ SmtCore::doIssue()
                 readyList[keep++] = std::move(inst);
             continue;
         }
-        if (exhausted ||
-            curCycle < inst->windowAt + params.core.schedDepth +
-                           params.core.regReadDepth ||
+        Cycle ready_at = inst->windowAt + params.core.schedDepth +
+                         params.core.regReadDepth;
+        if (curCycle < ready_at)
+            noteWake(ready_at);
+        if (exhausted || curCycle < ready_at ||
             (inst->isSerializing() && !oldestUnfinished(*inst))) {
             readyList[keep++] = std::move(inst);
             continue;
@@ -222,7 +197,7 @@ SmtCore::doIssue()
 
         bool free_exec = params.except.freeHandlerExecBw &&
                          contexts[inst->tid]->isHandler();
-        isa::OpClass cls = inst->di.info->opClass;
+        FuPool pool = fuPoolOf(inst->di.info->opClass);
         if (!free_exec) {
             if (budget == 0) {
                 // The old scan stopped here; keep compacting without
@@ -231,7 +206,7 @@ SmtCore::doIssue()
                 readyList[keep++] = std::move(inst);
                 continue;
             }
-            if (!fuAvailable(cls)) {
+            if (fuUsed[pool] >= fuCount[pool]) {
                 readyList[keep++] = std::move(inst);
                 continue;
             }
@@ -241,7 +216,7 @@ SmtCore::doIssue()
         ++issued;
 
         if (!free_exec) {
-            consumeFu(cls);
+            ++fuUsed[pool];
             --budget;
         }
         // TLB miss / emulation fault parks the instruction: it stays
@@ -253,25 +228,23 @@ SmtCore::doIssue()
     readyList.resize(keep);
 
     issuedPerCycle.sample(double(issued));
+    if (issued > 0)
+        stageActed = true;
 
     // The hardware walker's PTE loads are scheduled like other loads,
     // competing for the remaining load/store ports (Section 5.1).
-    if (params.except.mech == ExceptMech::Hardware) {
-        unsigned ports_free = params.core.lsPortCount > lsUsed
-                                  ? params.core.lsPortCount - lsUsed
-                                  : 0;
-        lsUsed += walker->issue(curCycle, ports_free, *hier);
-    }
+    unsigned &ls_used = fuUsed[LsPool];
+    auto ports_free = [&] {
+        return fuCount[LsPool] > ls_used ? fuCount[LsPool] - ls_used : 0;
+    };
+    if (params.except.mech == ExceptMech::Hardware)
+        ls_used += walker->issue(curCycle, ports_free(), *hier);
 
     // The prefetch helper's probes use whatever load/store ports are
     // left over this cycle — strictly lower priority than both demand
     // accesses and the walker.
-    if (helpers->prefetchOn()) [[unlikely]] {
-        unsigned ports_free = params.core.lsPortCount > lsUsed
-                                  ? params.core.lsPortCount - lsUsed
-                                  : 0;
-        lsUsed += helpers->onIssueSlack(ports_free);
-    }
+    if (helpers->prefetchOn()) [[unlikely]]
+        ls_used += helpers->onIssueSlack(ports_free());
 }
 
 } // namespace zmt

@@ -5,19 +5,19 @@
  * the handler thread into the master's retirement stream: the master
  * halts at the excepting instruction, the handler retires in its
  * entirety (through RFE), the context returns to idle, and the master
- * resumes (paper Figure 1c and Section 4.1).
+ * resumes (paper Figure 1c and Section 4.1). Retiring an instruction
+ * and opening a splice are what this stage reports to idle-skip.
  *
- * Squash rolls speculative architectural state back youngest-first via
- * each instruction's undo log, repairs the rename tables, cancels
- * dependent exception records (reclaiming handler threads) and
- * abandons page-table walks.
+ * Squash pops each thread's in-flight list from the tail (the fetch
+ * buffer first, then the window), rolls speculative architectural
+ * state back youngest-first via each instruction's undo log, repairs
+ * the rename tables, cancels dependent exception records (reclaiming
+ * handler threads) and abandons page-table walks.
  */
-
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/core.hh"
 #include "core/helper.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace zmt
@@ -47,8 +47,9 @@ SmtCore::retireBlocked(ThreadCtx &ctx, const InstPtr &head)
                 if (!record.spliceOpen) {
                     obsEmitTid(obs::EventKind::SpliceOpen, ctx.id,
                                uint64_t(record.handler), head->seq);
+                    record.spliceOpen = true;
+                    stageActed = true;
                 }
-                record.spliceOpen = true;
                 return true;
             }
         }
@@ -94,26 +95,11 @@ SmtCore::retireInst(ThreadCtx &ctx, const InstPtr &inst)
                       inst->actTarget, inst->bpChk);
     }
 
-    static const bool store_trace =
-        std::getenv("ZMT_STORE_TRACE") != nullptr;
-    if (store_trace && inst->isStore() && !inst->palMode &&
-        inst->memMapped && ctx.isApp()) {
-        std::fprintf(stderr, "S t%d pc=%#llx va=%#llx v=%#llx\n",
-                     int(ctx.id), (unsigned long long)inst->pc,
-                     (unsigned long long)inst->effVa,
-                     (unsigned long long)inst->storeValue);
-    }
     if (inst->isStore() && !inst->palMode && inst->memMapped) {
         // Fold the retired store into the thread's architectural hash
         // (cross-checked against the functional golden model).
-        auto mix = [&ctx](uint64_t v) {
-            for (int i = 0; i < 8; ++i) {
-                ctx.storeHash ^= (v >> (8 * i)) & 0xff;
-                ctx.storeHash *= 0x100000001b3ULL;
-            }
-        };
-        mix(inst->effVa);
-        mix(inst->storeValue);
+        ctx.storeHash =
+            fnv1aStore(ctx.storeHash, inst->effVa, inst->storeValue);
     }
 
     if (helpers->anyServiceEnabled()) [[unlikely]]
@@ -140,7 +126,7 @@ SmtCore::retireInst(ThreadCtx &ctx, const InstPtr &inst)
                 }
             }
             obsEmitTid(obs::EventKind::SpliceClose, ctx.id);
-            releaseHandlerCtx(ctx);
+            helpers->release(ctx);
             if (kind == ExcKind::TlbMiss) {
                 // The fill (TLBWR) woke the waiters parked at that
                 // point, but an instruction can re-miss the same page
@@ -210,15 +196,10 @@ SmtCore::doRetire()
                 ctx.inflight.pop_front();
                 retireInst(ctx, head);
                 progress = true;
+                stageActed = true;
             }
         }
     }
-}
-
-void
-SmtCore::releaseHandlerCtx(ThreadCtx &ctx)
-{
-    helpers->release(ctx);
 }
 
 void
@@ -237,7 +218,7 @@ SmtCore::cancelRecord(size_t idx)
             h.proc->space().pteAddr(Addr(record.vpn) << PageBits));
     }
     squashFrom(h, 0); // discard the handler thread's work entirely
-    releaseHandlerCtx(h);
+    helpers->release(h);
 
     if (record.kind != ExcKind::TlbMiss)
         return; // emulation records have exactly one (squashed) waiter
@@ -245,24 +226,6 @@ SmtCore::cancelRecord(size_t idx)
     // Wake surviving waiters: they re-issue, and either hit (the fill
     // already landed) or re-detect the miss and start a new handling.
     wakeTlbWaiters(record.asn, record.vpn);
-}
-
-void
-SmtCore::wakeTlbWaiters(Asn asn, Addr vpn)
-{
-    for (auto it = parked.begin(); it != parked.end();) {
-        InstPtr &waiter = *it;
-        ThreadCtx &wctx = ctxOf(**&waiter);
-        if (!waiter->squashed() && wctx.proc && wctx.proc->asn() == asn &&
-            pageNum(waiter->effVa) == vpn &&
-            waiter->status == InstStatus::TlbWait) {
-            waiter->status = InstStatus::InWindow;
-            obsEmit(obs::EventKind::Wake, *waiter, vpn);
-            it = parked.erase(it);
-        } else {
-            ++it;
-        }
-    }
 }
 
 void
@@ -316,7 +279,9 @@ SmtCore::squashFrom(ThreadCtx &ctx, SeqNum first_squashed)
 
         // Instructions not yet dispatched have no architectural
         // effects; dispatched ones are rolled back.
-        if (inst->status != InstStatus::InFetchBuf)
+        if (inst->status == InstStatus::InFetchBuf)
+            --ctx.undispatched;
+        else
             undoInst(ctx, *inst);
         if (inst->inWindowLike())
             removeFromWindow(*inst);
@@ -336,12 +301,6 @@ SmtCore::squashFrom(ThreadCtx &ctx, SeqNum first_squashed)
         ++squashedInsts;
         panic_if(ctx.icount == 0, "icount underflow on squash");
         --ctx.icount;
-    }
-
-    // Drop the squashed tail of the fetch buffer.
-    while (!ctx.fetchBuf.empty() &&
-           ctx.fetchBuf.back()->seq >= first_squashed) {
-        ctx.fetchBuf.pop_back();
     }
 
     // Cancel exception records anchored to squashed instructions:

@@ -1,8 +1,5 @@
 #include "kernel/funcmachine.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "common/logging.hh"
 #include "kernel/ffwd.hh"
 
@@ -110,14 +107,6 @@ FuncMachine::writeMem(Addr addr, unsigned size, uint64_t value)
         warmTrace->touchData(proc.asn(), addr, proc.space().pteAddr(addr),
                              *pa, true);
     mem.write(*pa, size, value);
-    static const bool store_trace =
-        std::getenv("ZMT_STORE_TRACE") != nullptr;
-    if (store_trace) {
-        std::fprintf(stderr, "S t0 pc=%#llx va=%#llx v=%#llx\n",
-                     (unsigned long long)archState.pc,
-                     (unsigned long long)addr,
-                     (unsigned long long)value);
-    }
     result.noteStore(addr, value);
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "common/hash.hh"
 #include "kernel/emulator.hh"
 #include "kernel/process.hh"
 
@@ -26,21 +27,14 @@ struct ArchResult
     uint64_t instsExecuted = 0;
     ArchState finalState;
     /** FNV-1a hash of all retired store (addr,value) pairs, in order. */
-    uint64_t storeHash = 0xcbf29ce484222325ULL;
+    uint64_t storeHash = Fnv1a64Basis;
     bool halted = false;
 
     /** Fold one store into the running hash. */
     void
     noteStore(Addr va, uint64_t value)
     {
-        auto mix = [this](uint64_t v) {
-            for (int i = 0; i < 8; ++i) {
-                storeHash ^= (v >> (8 * i)) & 0xff;
-                storeHash *= 0x100000001b3ULL;
-            }
-        };
-        mix(va);
-        mix(value);
+        storeHash = fnv1aStore(storeHash, va, value);
     }
 };
 

@@ -43,7 +43,8 @@ InvariantChecker::auditWindow()
 {
     // The window is each context's in-flight list up to its first
     // undispatched entry: dispatch is in order, so the list is a
-    // dispatched prefix followed by exactly the fetch buffer.
+    // dispatched prefix followed by the fetch buffer, whose length the
+    // context counts.
     for (size_t i = 0; i < core.contexts.size(); ++i) {
         const auto &ctx = *core.contexts[i];
         std::ostringstream os;
@@ -73,11 +74,9 @@ InvariantChecker::auditWindow()
             }
         }
         size_t fetched = ctx.inflight.size() - dispatched;
-        if (fetched != ctx.fetchBuf.size() ||
-            !std::equal(ctx.fetchBuf.begin(), ctx.fetchBuf.end(),
-                        ctx.inflight.begin() + dispatched)) {
+        if (fetched != ctx.undispatched) {
             os << "undispatched in-flight suffix (" << fetched
-               << ") is not the fetch buffer (" << ctx.fetchBuf.size()
+               << ") is not the fetch buffer (" << ctx.undispatched
                << ")";
             fail(os.str());
             return;
@@ -184,10 +183,10 @@ InvariantChecker::auditContexts()
         prevState[i] = uint8_t(s);
 
         if (s == CtxState::Idle &&
-            (!ctx.inflight.empty() || !ctx.fetchBuf.empty() ||
+            (!ctx.inflight.empty() || ctx.undispatched != 0 ||
              ctx.fetchEnabled)) {
             os << "idle context with live state (inflight="
-               << ctx.inflight.size() << " fbuf=" << ctx.fetchBuf.size()
+               << ctx.inflight.size() << " fbuf=" << ctx.undispatched
                << " en=" << ctx.fetchEnabled << ")";
             fail(os.str());
         }
@@ -257,18 +256,15 @@ InvariantChecker::auditRecords()
 void
 InvariantChecker::auditParked()
 {
+    // Parked instructions are the TlbWait entries of the issue list
+    // (auditReadyList checks that it holds every one of them).
     ExceptMech mech = core.params.except.mech;
-    for (const InstPtr &inst : core.parked) {
-        if (inst->squashed())
-            continue; // removed lazily
+    for (const InstPtr &inst : core.readyList) {
+        if (inst->status != InstStatus::TlbWait)
+            continue;
         std::ostringstream os;
         os << "parked seq " << inst->seq << " t" << inst->tid
            << " (cycle " << core.curCycle << "): ";
-        if (inst->status != InstStatus::TlbWait) {
-            os << "not in TlbWait (status " << int(inst->status) << ")";
-            fail(os.str());
-            continue;
-        }
         const auto &ctx = *core.contexts[inst->tid];
         if (!ctx.proc) {
             os << "owning context has no process";

@@ -7,8 +7,9 @@
  *
  *  - per context, the in-flight list is in program order, holds only
  *    live instructions, and is a dispatched (window) prefix followed
- *    by exactly the fetch buffer; the window occupancy counter matches
- *    the slot-holding prefix entries of all contexts
+ *    by the fetch buffer, as many entries as the context's
+ *    undispatched count; the window occupancy counter matches the
+ *    slot-holding prefix entries of all contexts
  *  - the issue list is seq-sorted without duplicates, holds only
  *    operand-ready InWindow or parked (TlbWait) instructions besides
  *    issued/squashed ones awaiting compaction, and lists every
@@ -19,8 +20,9 @@
  *    (app stays app; idle <-> handler)
  *  - every exception record points at a live excepting instruction and
  *    an actual handler context; reservations never exceed handler size
- *  - no parked instruction outlives its handler (every live parked
- *    instruction is covered by a record or an active hardware walk)
+ *  - no parked instruction outlives its handler (every TlbWait entry
+ *    of the issue list is covered by a record or an active hardware
+ *    walk)
  *  - per-thread retirement stays in program order
  *  - retirement splice ordering: a handler instruction retires only
  *    while the splice is open with the master halted at the excepting

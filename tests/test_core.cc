@@ -605,12 +605,12 @@ TEST(Invariants, HandlerDutyCycleIsBounded)
  * of hanging.
  */
 CoreResult
-runLivelockedProgram(bool idleSkip)
+runLivelockedProgram(bool idleSkip, uint64_t watchdogCycles = 4000)
 {
     SimParams params;
     params.except.mech = ExceptMech::PerfectTlb;
     params.maxInsts = 1000;      // unreachable: the program halts first
-    params.watchdogCycles = 4000;
+    params.watchdogCycles = watchdogCycles;
     params.core.idleSkip = idleSkip;
 
     PhysMem mem;
@@ -656,6 +656,17 @@ TEST(Livelock, IdleSkipTripsWatchdogAtIdenticalCycle)
     EXPECT_EQ(skip.cycles, tick.cycles);
     EXPECT_EQ(skip.userInsts, tick.userInsts);
     EXPECT_EQ(skip.error, tick.error);
+}
+
+TEST(Livelock, IdleSkipReachesAWatchdogBoundNoTickedRunCould)
+{
+    // Ticking 10^12 cycles would take hours: only a skip that fires
+    // gets the halted machine to its watchdog bound in time. The tick
+    // at the bound itself still runs, so the run ends one cycle after.
+    const uint64_t bound = 1'000'000'000'000;
+    CoreResult result = runLivelockedProgram(true, bound);
+    ASSERT_EQ(result.status, RunStatus::Livelock);
+    EXPECT_EQ(result.cycles, bound + 1);
 }
 
 } // anonymous namespace

@@ -14,18 +14,21 @@
  *
  * Also here: jobs=1 vs jobs=8 sweep equality (scheduling must never
  * leak into results) and idle-skip on/off dump equality (the skip is a
- * pure wall-clock optimization).
+ * pure wall-clock optimization), per mechanism and on machine shapes
+ * that reach the rare paths.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/campaign.hh"
 #include "sim/simulator.hh"
+#include "wload/workload.hh"
 
 namespace
 {
@@ -165,6 +168,116 @@ INSTANTIATE_TEST_SUITE_P(
     AllMechanisms, IdleSkipTest, ::testing::ValuesIn(goldenTable),
     [](const ::testing::TestParamInfo<GoldenPoint> &info) {
         return std::string(mechName(info.param.mech));
+    });
+
+// The same equality on machine shapes that reach the rare paths, where
+// a stage's wait for time alone is long or unusual: each shape first
+// proves its run took the path it is there for.
+
+/** Benchmarks by name, seeded as Simulator's by-name constructor does. */
+std::vector<WorkloadParams>
+benchmarks(std::initializer_list<const char *> names)
+{
+    std::vector<WorkloadParams> out;
+    for (const char *name : names) {
+        out.push_back(benchmarkParams(name));
+        out.back().seed ^= uint64_t(out.size() - 1) * 0x2545f4914f6cdd1dULL;
+    }
+    return out;
+}
+
+double
+coreStat(const Simulator &sim, const std::string &name)
+{
+    auto *s = dynamic_cast<const stats::Scalar *>(
+        sim.statsRoot().find("core." + name));
+    return s ? s->value() : -1.0;
+}
+
+struct SkipShape
+{
+    const char *name;
+    /** key=value settings over goldenParams(Multithreaded). */
+    std::vector<std::string> settings;
+    std::function<std::vector<WorkloadParams>()> workloads;
+    /** The rare event the shape exists for: positive once it happened. */
+    std::function<double(const Simulator &)> rare;
+};
+
+std::string
+shapeDump(const SkipShape &shape, bool idleSkip, double *rare = nullptr)
+{
+    SimParams params = goldenParams(ExceptMech::Multithreaded, idleSkip);
+    for (const std::string &kv : shape.settings) {
+        size_t eq = kv.find('=');
+        params.set(kv.substr(0, eq), kv.substr(eq + 1));
+    }
+    Simulator sim(params, shape.workloads());
+    CoreResult result = sim.run();
+    EXPECT_TRUE(result.ok()) << shape.name << ": " << result.error;
+    if (rare)
+        *rare = shape.rare(sim);
+    std::ostringstream os;
+    sim.dumpStats(os);
+    return os.str();
+}
+
+auto statOf(const char *name)
+{
+    return [name](const Simulator &sim) { return coreStat(sim, name); };
+}
+
+const SkipShape skipShapes[] = {
+    {"three_app_mix", {},
+     [] { return benchmarks({"alphadoom", "compress", "vortex"}); },
+     statOf("mtFallbacks")},
+    {"emulated_fsqrt", {"except.emulateFsqrt=1"},
+     [] {
+         auto wl = benchmarks({"hydro2d"});
+         wl[0].fsqrtOps = 2;
+         return wl;
+     },
+     statOf("emulDone")},
+    {"free_handler_window", {"except.freeHandlerWindow=1"},
+     [] { return benchmarks({"compress"}); }, statOf("mtSpawns")},
+    {"instant_handler_fetch", {"except.instantHandlerFetch=1"},
+     [] { return benchmarks({"compress"}); }, statOf("mtSpawns")},
+    // Two apps: the deadlock squash waits memLatency + 70 cycles.
+    {"window32_mt3_mix", {"core.windowSize=32", "except.idleThreads=3"},
+     [] { return benchmarks({"hydro2d", "deltablue"}); },
+     statOf("deadlockSquashes")},
+    // Older secondary misses trap instead of relinking: more trap
+    // squashes than no-idle-context fallbacks.
+    {"no_relink",
+     {"except.relinkSecondaryMiss=0", "except.idleThreads=3",
+      "tlb.dtlbEntries=16"},
+     [] { return benchmarks({"hydro2d", "deltablue"}); },
+     [](const Simulator &sim) {
+         return coreStat(sim, "trapSquashes") -
+                coreStat(sim, "mtFallbacks");
+     }},
+    // Completions land beyond the completion wheel's span.
+    {"latency4096", {"mem.memLatency=4096", "mem.l2Latency=4096"},
+     [] { return benchmarks({"hydro2d"}); }, statOf("deadlockSquashes")},
+};
+
+class IdleSkipShapeTest : public ::testing::TestWithParam<SkipShape>
+{};
+
+TEST_P(IdleSkipShapeTest, DumpIdenticalWithIdleSkipOff)
+{
+    const SkipShape &shape = GetParam();
+    double rare = 0;
+    std::string on = shapeDump(shape, true, &rare);
+    EXPECT_GT(rare, 0.0) << shape.name << " missed its rare path";
+    EXPECT_EQ(on, shapeDump(shape, false))
+        << shape.name << ": idle-skip changed a statistic";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, IdleSkipShapeTest, ::testing::ValuesIn(skipShapes),
+    [](const ::testing::TestParamInfo<SkipShape> &info) {
+        return std::string(info.param.name);
     });
 
 // ---------------------------------------------------------------------

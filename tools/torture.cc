@@ -9,6 +9,12 @@
  * relink, no-idle-context fallback, mid-flight handler reclaim — and
  * the final report shows how often each fired across the sweep.
  *
+ * Every run has an idle-skip twin: the same shape and workloads with
+ * the fault schedule and the per-cycle audit cleared (either keeps
+ * idle-skip from firing), run once with idle-skip and once without.
+ * The two must agree on the CoreResult and on each application's
+ * retired count and store hash, or the run fails.
+ *
  * Fully deterministic: every run's configuration derives from
  * (sweep seed, run index), and a failing run prints the key=value
  * settings needed to reproduce it alone (rerun with only=<index>).
@@ -153,6 +159,32 @@ makeConfig(uint64_t sweep_seed, uint64_t index, uint64_t base_insts)
         int(p.except.windowReservation), int(p.except.emulateFsqrt));
     cfg.desc = buf;
     return cfg;
+}
+
+/** One run of @p params without faults or audits, as the idle-skip
+ *  twin compares it: its CoreResult, then each app's retired count and
+ *  store hash. Sets @p error when the run did not finish. */
+std::string
+twinFingerprint(SimParams params, const std::vector<WorkloadParams> &wl,
+                bool idle_skip, std::string *error)
+{
+    params.verify = VerifyParams{};
+    params.core.idleSkip = idle_skip;
+    Simulator sim(params, wl);
+    CoreResult r = sim.run();
+    if (!r.ok())
+        *error = std::string(runStatusName(r.status)) + ": " + r.error;
+    std::ostringstream os;
+    os << runStatusName(r.status) << " cycles=" << r.cycles
+       << " insts=" << r.userInsts << " misses=" << r.tlbMisses
+       << " emul=" << r.emulations << " measured=" << r.measuredCycles
+       << '/' << r.measuredInsts << '/' << r.measuredMisses
+       << " ipc=" << std::hexfloat << r.ipc << std::defaultfloat;
+    for (unsigned i = 0; i < wl.size(); ++i) {
+        os << " app" << i << '=' << sim.core().retiredUserInsts(i) << '/'
+           << std::hex << sim.core().retiredStoreHash(i) << std::dec;
+    }
+    return os.str();
 }
 
 double
@@ -331,6 +363,22 @@ main(int argc, char **argv)
             out.mtFallbacks = coreStat(sim, "mtFallbacks");
             out.handlerSquashes =
                 coreStat(sim, "verify.injectedHandlerSquashes");
+
+            if (out.failed)
+                return out;
+            std::string twin_error;
+            std::string skip = twinFingerprint(cfg.params, cfg.workloads,
+                                               true, &twin_error);
+            std::string tick = twinFingerprint(cfg.params, cfg.workloads,
+                                               false, &twin_error);
+            if (skip != tick) {
+                out.failed = true;
+                out.why = "idle-skip twin diverged: skip [" + skip +
+                          "] tick [" + tick + "]";
+            } else if (!twin_error.empty()) {
+                out.failed = true;
+                out.why = "idle-skip twin: " + twin_error;
+            }
             return out;
         };
 
